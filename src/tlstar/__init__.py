@@ -7,6 +7,11 @@ rational-function field Q(t), counts normal words with a factor-avoidance
 automaton, classifies the growth (finite / polynomial / exponential), and
 cross-validates the result against a purely graph-theoretic classification
 of the same trichotomy.
+
+Every defining relation is a binomial with coefficient ratio in {+-1, +-t},
+so completion runs on exact (sign, t-exponent) tags instead of scalars;
+Q(t) or Q scalars appear only at the edge, in `buchberger`'s input and
+output and in `Rewriter`/`reduce`.  All results stay exact.
 """
 
 from .automaton import AvoidanceAutomaton, build_automaton, hilbert_prefix, is_normal_word

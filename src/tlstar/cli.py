@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from .automaton import build_automaton, hilbert_prefix
@@ -117,17 +118,9 @@ def _cmd_hilbert(args) -> int:
             "t": "symbolic" if args.t == "symbolic" else f"t={args.t}",
             "complete": result.complete,
             "prefix": prefix,
-            "cumulative": _cumsum(prefix),
+            "cumulative": list(accumulate(prefix)),
         })
     return OK
-
-
-def _cumsum(seq):
-    out, acc = [], 0
-    for x in seq:
-        acc += x
-        out.append(acc)
-    return out
 
 
 def _cmd_gb(args) -> int:
@@ -181,12 +174,18 @@ def _cmd_crossvalidate(args) -> int:
 
 def _cmd_witness(args) -> int:
     g = parse_graph(args.graph)
+    if args.check:
+        q1, q2 = (parse_word(w) for w in args.check)
+        for q in (q1, q2):
+            outside = [a for a in q if not 0 <= a <= g.n]
+            if outside:
+                raise ValueError(f"letter {outside[0]} in block {','.join(map(str, q))} "
+                                 f"is outside the alphabet 0..{g.n}")
     pres = build_presentation(g, _t_mode(args.t))
     result = buchberger(pres, args.degree_bound)
     if not result.complete:
         print("warning: completion truncated; obstruction set is partial")
     if args.check:
-        q1, q2 = (parse_word(w) for w in args.check)
         violation = find_free_pair_violation(q1, q2, result.obstructions)
         if violation is None:
             bound = free_pair_window_bound(q1, q2, result.obstructions)

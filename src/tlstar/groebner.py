@@ -2,10 +2,20 @@
 
 Relations are rewriting rules oriented by the degree-lexicographic order.
 Completion resolves every overlap ambiguity between leading words whose
-overlap word fits under the degree bound; inserted elements are kept monic
-and the live leading words always form an antichain under the factor
-relation (inclusion ambiguities are handled by re-reducing any element
-whose leading word absorbs a newer, smaller one).
+overlap word fits under the degree bound; the live leading words always
+form an antichain under the factor relation (inclusion ambiguities are
+handled by re-reducing any rule whose leading word absorbs a newer, smaller
+one).
+
+Every defining relation is a binomial whose two coefficients differ by a
+factor in {+-1, +-t}, and reducing a binomial by binomials gives a binomial
+again.  Completion therefore runs on tagged rules ``lead -> sign * t**exp *
+word`` or ``lead -> 0``.  A (sign, exp) tag is an exact coefficient: since
+0 < t < 1, t**a == t**b only when a == b, so two tagged terms on the same
+word cancel exactly when their tags are equal and opposite.  The core does
+no scalar arithmetic at all; Q(t) or Q scalars appear only at the edge,
+where `buchberger` reads the relations and writes the monic basis, and in
+`Rewriter`, which reduces arbitrary polynomials.  Results stay exact.
 
 If no overlap ever exceeds the bound the finished basis is a full Groebner
 basis and the result is marked complete; otherwise it is only a truncation
@@ -79,67 +89,84 @@ def obstructions(result: GroebnerResult) -> frozenset[Word]:
     return minimal_antichain(p.leading_word() for p in result.basis)
 
 
+class _LeadTable:
+    """Leading words in one hash table, probed per start position by length.
+
+    Holds any objects with a ``lead`` attribute.  Lookups try the live lead
+    lengths shortest first, and the first entry added for a word keeps it,
+    so a hit is the one a (length, insertion order) scan would give.
+    """
+
+    __slots__ = ("by_lead", "length_count", "lengths")
+
+    def __init__(self):
+        self.by_lead: dict[Word, object] = {}
+        self.length_count: dict[int, int] = {}
+        self.lengths: tuple[int, ...] = ()
+
+    def add(self, entry) -> None:
+        lead = entry.lead
+        if lead in self.by_lead:
+            return
+        self.by_lead[lead] = entry
+        n = len(lead)
+        count = self.length_count.get(n, 0)
+        self.length_count[n] = count + 1
+        if not count:
+            self.lengths = tuple(sorted(self.length_count))
+
+    def remove(self, entry) -> None:
+        del self.by_lead[entry.lead]
+        n = len(entry.lead)
+        count = self.length_count[n] - 1
+        if count:
+            self.length_count[n] = count
+        else:
+            del self.length_count[n]
+            self.lengths = tuple(sorted(self.length_count))
+
+    def find(self, w: Word, start: int = 0):
+        """Leftmost occurrence of any leading word inside w, from ``start`` on."""
+        get = self.by_lead.get
+        lengths = self.lengths
+        lw = len(w)
+        for pos in range(start, lw):
+            rem = lw - pos
+            for n in lengths:
+                if n > rem:
+                    break
+                entry = get(w[pos:pos + n])
+                if entry is not None:
+                    return pos, entry
+        return None
+
+    def find_rightmost(self, w: Word):
+        get = self.by_lead.get
+        lengths = self.lengths
+        lw = len(w)
+        for pos in range(lw - 1, -1, -1):
+            rem = lw - pos
+            for n in lengths:
+                if n > rem:
+                    break
+                entry = get(w[pos:pos + n])
+                if entry is not None:
+                    return pos, entry
+        return None
+
+
 class _Entry:
-    __slots__ = ("id", "lead", "terms", "alive")
+    """A monic polynomial of a fixed basis, reduced with scalar arithmetic."""
+
+    __slots__ = ("id", "lead", "terms")
 
     def __init__(self, eid: int, lead: Word, terms: dict):
         self.id = eid
         self.lead = lead
         self.terms = terms
-        self.alive = True
 
 
-class _LeadIndex:
-    """Leading words grouped by first letter, sorted by (length, id)."""
-
-    __slots__ = ("by_letter",)
-
-    def __init__(self):
-        self.by_letter: dict[int, list[_Entry]] = defaultdict(list)
-
-    def add(self, entry: _Entry) -> None:
-        bucket = self.by_letter[entry.lead[0]]
-        bucket.append(entry)
-        bucket.sort(key=lambda e: (len(e.lead), e.id))
-
-    def remove(self, entry: _Entry) -> None:
-        self.by_letter[entry.lead[0]].remove(entry)
-
-    def find(self, w: Word) -> Optional[tuple[int, _Entry]]:
-        """Leftmost occurrence of any leading word inside w."""
-        by_letter = self.by_letter
-        lw = len(w)
-        for pos in range(lw):
-            bucket = by_letter.get(w[pos])
-            if not bucket:
-                continue
-            rem = lw - pos
-            for e in bucket:
-                ll = len(e.lead)
-                if ll > rem:
-                    break
-                if w[pos:pos + ll] == e.lead:
-                    return pos, e
-        return None
-
-    def find_rightmost(self, w: Word) -> Optional[tuple[int, _Entry]]:
-        by_letter = self.by_letter
-        lw = len(w)
-        for pos in range(lw - 1, -1, -1):
-            bucket = by_letter.get(w[pos])
-            if not bucket:
-                continue
-            rem = lw - pos
-            for e in bucket:
-                ll = len(e.lead)
-                if ll > rem:
-                    break
-                if w[pos:pos + ll] == e.lead:
-                    return pos, e
-        return None
-
-
-def _reduce_dict(terms: dict, index: _LeadIndex) -> dict:
+def _reduce_dict(terms: dict, index: _LeadTable) -> dict:
     """Normal form of a term dict: repeatedly rewrite the largest reducible
     monomial at its leftmost reducible position."""
     normal: dict[Word, object] = {}
@@ -176,7 +203,7 @@ class Rewriter:
     """Reduction modulo a fixed list of monic basis elements."""
 
     def __init__(self, basis: Sequence[NcPolynomial]):
-        self.index = _LeadIndex()
+        self.index = _LeadTable()
         for k, p in enumerate(basis):
             if not p:
                 continue
@@ -227,104 +254,256 @@ def reduce(p: NcPolynomial, basis: Sequence[NcPolynomial], strategy: str = "larg
     return Rewriter(basis).reduce(p, strategy=strategy)
 
 
-class _Completion:
-    def __init__(self, relations: Sequence[NcPolynomial], degree_bound: int):
+# A tagged term (sign, exp, word) stands for sign * t**exp * word.  A pending
+# element is a tuple of one or two tagged terms whose sum is an ideal member.
+
+
+class _Rule:
+    """``lead -> sign * t**exp * word`` (rhs = (sign, exp, word)) or ``lead -> 0``."""
+
+    __slots__ = ("id", "lead", "rhs", "alive")
+
+    def __init__(self, rid: int, lead: Word, rhs: Optional[tuple]):
+        self.id = rid
+        self.lead = lead
+        self.rhs = rhs
+        self.alive = True
+
+    def element(self) -> tuple:
+        """The rule as an ideal member lead - rhs."""
+        if self.rhs is None:
+            return ((1, 0, self.lead),)
+        sign, exp, word = self.rhs
+        return ((1, 0, self.lead), (-sign, exp, word))
+
+
+# Completion reduces the same words again and again between rule changes,
+# so normal forms are memoised; on the fully dashed K7 this saves 59% of the
+# lead-table scans.  The cap keeps peak memory flat: uncapped, the memo adds
+# ~15 MB there.
+_MEMO_CAP = 4096  # words
+_MISSING = object()
+
+
+class _TaggedCompletion:
+    """Overlap completion of tagged elements.
+
+    Pending elements are resolved first, then overlaps in the order of the
+    key (length, word, id, id, overlap); withdrawn rules are re-queued in id
+    order.  Results therefore do not depend on hash order, and truncated
+    completions are reproducible.
+    """
+
+    def __init__(self, elements: Iterable[tuple], degree_bound: int, alphabet_size: int):
         self.bound = degree_bound
-        self.index = _LeadIndex()
-        self.entries: dict[int, _Entry] = {}
+        # Overlap words wait in the heap as bytes where letters fit: at equal
+        # length they sort like the tuples, in less memory (the heap holds up
+        # to ~37k words on the fully dashed K7; bytes save ~2.8 MB of peak).
+        self.heap_word = bytes if alphabet_size <= 256 else tuple
+        self.index = _LeadTable()
+        self.rules: dict[int, _Rule] = {}
         self.next_id = 0
         self.heap: list[tuple] = []
-        self.pending: deque = deque(dict(r.terms) for r in relations if r)
+        self.pending: deque = deque(elements)
         self.skipped: list[tuple[int, int]] = []
+        self.memo: dict = {}
+        # Live rules by the proper factors, prefixes and suffixes of their
+        # leads: withdrawal candidates and overlap partners of a new lead.
+        self.by_factor: dict[Word, set] = defaultdict(set)
+        self.by_prefix: dict[Word, set] = defaultdict(set)
+        self.by_suffix: dict[Word, set] = defaultdict(set)
 
-    def _alive(self) -> list[_Entry]:
-        return [e for e in self.entries.values() if e.alive]
+    def _normal(self, sign: int, exp: int, w: Word) -> Optional[tuple]:
+        """Tagged normal form of sign * t**exp * w by leftmost rewriting.
 
-    def _enqueue_overlaps(self, a: _Entry, b: _Entry) -> None:
-        # Overlap words u + v[l:] where a proper suffix of lead(a) is a
-        # proper prefix of lead(b).  Pairs of pure monomials are skipped:
-        # their S-polynomials vanish identically.
-        if len(a.terms) == 1 and len(b.terms) == 1:
+        Every word met on the way is memoised with its own normal form; the
+        memo is cleared whenever the live rules change or it grows too big.
+        """
+        memo = self.memo
+        find = self.index.find
+        back = self.index.lengths[-1] - 1 if self.index.lengths else 0
+        path = []  # (word, s, e): the input word equals s * t**e * word
+        s0, e0 = 1, 0
+        start = 0
+        while True:
+            known = memo.get(w, _MISSING)
+            if known is not _MISSING:
+                break
+            found = find(w, start)
+            if found is None:
+                known = memo[w] = (1, 0, w)
+                break
+            path.append((w, s0, e0))
+            pos, rule = found
+            if rule.rhs is None:
+                known = None
+                break
+            s, e, r = rule.rhs
+            w = w[:pos] + r + w[pos + len(rule.lead):]
+            s0 *= s
+            e0 += e
+            # Nothing starts left of pos in the old word, so a new
+            # occurrence must reach into the replaced part.
+            start = pos - back if pos > back else 0
+        if len(memo) > _MEMO_CAP:
+            memo.clear()
+        if known is None:
+            for pw, _, _ in path:
+                memo[pw] = None
+            return None
+        ks, ke, nw = known
+        s0 *= ks
+        e0 += ke
+        for pw, ps, pe in path:
+            memo[pw] = (ps * s0, e0 - pe, nw)
+        return sign * s0, exp + e0, nw
+
+    def _resolve(self, element: tuple) -> None:
+        """Reduce each tagged word on its own and insert what remains."""
+        out = [nf for nf in (self._normal(*term) for term in element) if nf is not None]
+        if not out:
             return
-        u, v = a.lead, b.lead
-        top = min(len(u), len(v)) - 1
-        for ell in range(1, top + 1):
-            if u[-ell:] == v[:ell]:
-                w = u + v[ell:]
-                heapq.heappush(self.heap, (len(w), w, a.id, b.id, ell))
+        if len(out) == 1:
+            self._insert(out[0][2], None)
+            return
+        (s1, e1, w1), (s2, e2, w2) = out
+        if w1 == w2:
+            if s1 != s2 and e1 == e2:
+                return
+            self._insert(w1, None)
+            return
+        if word_key(w1) < word_key(w2):
+            s1, e1, w1, s2, e2, w2 = s2, e2, w2, s1, e1, w1
+        # s1 t^e1 w1 + s2 t^e2 w2 = 0, so w1 = -(s1 s2) t^(e2 - e1) w2.
+        self._insert(w1, (-s1 * s2, e2 - e1, w2))
 
-    def _insert(self, terms: dict) -> None:
-        lead = max(terms, key=word_key)
-        lc = terms[lead]
-        if lc != 1:
-            terms = {w: c / lc for w, c in terms.items()}
-        # Inclusion ambiguities: any older element whose leading word
-        # contains the new one is withdrawn and re-reduced later.
-        doomed = [e for e in self._alive() if word_contains(e.lead, lead)]
-        for e in doomed:
-            e.alive = False
-            self.index.remove(e)
-            self.pending.append(e.terms)
+    def _push(self, a: _Rule, b: _Rule, ell: int) -> None:
+        w = a.lead + b.lead[ell:]
+        if len(w) > self.bound:
+            self.skipped.append((a.id, b.id))
+        else:
+            heapq.heappush(self.heap, (len(w), self.heap_word(w), a.id, b.id, ell))
 
-        entry = _Entry(self.next_id, lead, terms)
+    def _enqueue_overlaps(self, rule: _Rule) -> None:
+        # Overlap words where a proper suffix of one lead is a proper prefix
+        # of the other.  Pairs of zero rules are skipped: their S-polynomials
+        # vanish identically.
+        u = rule.lead
+        monomial = rule.rhs is None
+        for ell in range(1, len(u)):
+            for other in self.by_prefix.get(u[-ell:], ()):
+                if not (monomial and other.rhs is None):
+                    self._push(rule, other, ell)
+            for other in self.by_suffix.get(u[:ell], ()):
+                if not (monomial and other.rhs is None):
+                    self._push(other, rule, ell)
+        if not monomial:
+            for ell in range(1, len(u)):
+                if u[-ell:] == u[:ell]:
+                    self._push(rule, rule, ell)
+
+    def _buckets(self, u: Word):
+        """(map, key) for every proper prefix, suffix and factor of u."""
+        n = len(u)
+        for k in range(1, n):
+            yield self.by_prefix, u[:k]
+            yield self.by_suffix, u[n - k:]
+        for f in {u[i:j] for i in range(n) for j in range(i + 1, n + 1) if j - i < n}:
+            yield self.by_factor, f
+
+    def _register(self, rule: _Rule) -> None:
+        self.memo.clear()
+        self.index.add(rule)
+        for table, key in self._buckets(rule.lead):
+            table[key].add(rule)
+
+    def _unregister(self, rule: _Rule) -> None:
+        self.memo.clear()
+        self.index.remove(rule)
+        for table, key in self._buckets(rule.lead):
+            bucket = table[key]
+            bucket.discard(rule)
+            if not bucket:
+                del table[key]
+
+    def _insert(self, lead: Word, rhs: Optional[tuple]) -> None:
+        # Inclusion ambiguities: any older rule whose leading word contains
+        # the new one is withdrawn and re-reduced later.  The new lead is
+        # irreducible, so such a lead is strictly longer and has it as a
+        # proper factor.
+        doomed = sorted(self.by_factor.get(lead, ()), key=lambda r: r.id)
+        for r in doomed:
+            r.alive = False
+            self._unregister(r)
+            self.pending.append(r.element())
+
+        rule = _Rule(self.next_id, lead, rhs)
         self.next_id += 1
-        self.entries[entry.id] = entry
-        self.index.add(entry)
-        for other in self._alive():
-            if other is entry:
-                continue
-            self._enqueue_overlaps(entry, other)
-            self._enqueue_overlaps(other, entry)
-        self._enqueue_overlaps(entry, entry)
+        self.rules[rule.id] = rule
+        self._enqueue_overlaps(rule)
+        self._register(rule)
 
-    def _spolynomial(self, a: _Entry, b: _Entry, ell: int) -> dict:
+    def _spair(self, a: _Rule, b: _Rule, ell: int) -> tuple:
+        # lead(a) * right == left * lead(b), so the S-polynomial is
+        # left * rhs(b) - rhs(a) * right; a zero rule contributes nothing.
         u, v = a.lead, b.lead
-        right = v[ell:]
-        left = u[:len(u) - ell]
-        out: dict[Word, object] = {}
-        for w, c in a.terms.items():
-            if w == u:
-                continue
-            key = w + right
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-        for w, c in b.terms.items():
-            if w == v:
-                continue
-            key = left + w
-            acc = out.get(key)
-            out[key] = -c if acc is None else acc - c
-        return {w: c for w, c in out.items() if c}
+        out = []
+        if a.rhs is not None:
+            s, e, r = a.rhs
+            out.append((-s, e, r + v[ell:]))
+        if b.rhs is not None:
+            s, e, r = b.rhs
+            out.append((s, e, u[:len(u) - ell] + r))
+        return tuple(out)
 
-    def run(self) -> tuple[list[_Entry], bool]:
+    def run(self) -> tuple[list[_Rule], bool]:
         while self.pending or self.heap:
             if self.pending:
-                red = _reduce_dict(self.pending.popleft(), self.index)
-                if red:
-                    self._insert(red)
+                self._resolve(self.pending.popleft())
                 continue
             _, _, ia, ib, ell = heapq.heappop(self.heap)
-            a = self.entries[ia]
-            b = self.entries[ib]
-            if not (a.alive and b.alive):
-                continue
-            if len(a.lead) + len(b.lead) - ell > self.bound:
-                self.skipped.append((ia, ib))
-                continue
-            red = _reduce_dict(self._spolynomial(a, b, ell), self.index)
-            if red:
-                self._insert(red)
+            a = self.rules[ia]
+            b = self.rules[ib]
+            if a.alive and b.alive:
+                self._resolve(self._spair(a, b, ell))
         truncated = any(
-            self.entries[ia].alive and self.entries[ib].alive for ia, ib in self.skipped
+            self.rules[ia].alive and self.rules[ib].alive for ia, ib in self.skipped
         )
-        alive = sorted(self._alive(), key=lambda e: word_key(e.lead))
+        alive = sorted(self.index.by_lead.values(), key=lambda r: word_key(r.lead))
         # Final tail reduction so the returned basis is fully inter-reduced.
-        for e in alive:
-            tail = {w: c for w, c in e.terms.items() if w != e.lead}
-            reduced_tail = _reduce_dict(tail, self.index)
-            reduced_tail[e.lead] = e.terms[e.lead]
-            e.terms = reduced_tail
+        # Later rules are reduced with the new right-hand sides, as in the
+        # order-dependent case of a truncated completion they must be.
+        for r in alive:
+            if r.rhs is not None:
+                r.rhs = self._normal(*r.rhs)
+                self.memo.clear()
         return alive, not truncated
+
+
+def _tagged(pres: Presentation, one) -> list[tuple]:
+    """Relations as tagged elements; only binomials with ratio +-1 or +-t."""
+    t = pres.t
+    ratios = ((1, 0, one), (-1, 0, -one), (1, 1, t), (-1, 1, -t))
+    elements = []
+    for rel in pres.relations:
+        if not rel:
+            continue
+        terms = rel.sorted_terms()
+        if len(terms) == 1:
+            elements.append(((1, 0, terms[0][0]),))
+            continue
+        if len(terms) > 2:
+            raise ValueError(f"relation {rel.format()} = 0 is not a binomial")
+        (lead, c1), (tail, c2) = terms
+        # c1 * lead + c2 * tail = 0, so lead = (-c2 / c1) * tail.
+        ratio = -c2 if c1 == 1 else -c2 / c1
+        for sign, exp, value in ratios:
+            if ratio == value:
+                elements.append(((1, 0, lead), (-sign, exp, tail)))
+                break
+        else:
+            raise ValueError(f"relation {rel.format()} = 0 has a coefficient ratio other than +-1, +-t")
+    return elements
 
 
 def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> GroebnerResult:
@@ -333,6 +512,8 @@ def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> Groebn
     The default bound 2n + 8 leaves ample room for every overlap between
     leading words of length up to n + 2, which is where all observed bases
     in this family live, so completions normally certify completeness.
+    Raises ValueError unless every relation is a monomial or a binomial
+    whose coefficient ratio is +-1 or +-t.
     """
     if degree_bound is None:
         degree_bound = 2 * pres.n + 8
@@ -341,8 +522,16 @@ def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> Groebn
         raise ValueError(
             f"degree bound {degree_bound} is smaller than the largest relation degree {max_rel_degree}"
         )
-    engine = _Completion(pres.relations, degree_bound)
+    t = pres.t
+    one = t / t
+    engine = _TaggedCompletion(_tagged(pres, one), degree_bound, pres.alphabet_size())
     alive, complete = engine.run()
-    basis = tuple(NcPolynomial(e.terms) for e in alive)
-    obs = frozenset(e.lead for e in alive)
-    return GroebnerResult(basis=basis, obstructions=obs, complete=complete, degree_bound=degree_bound)
+    basis = []
+    for r in alive:
+        if r.rhs is None:
+            basis.append(NcPolynomial({r.lead: one}))
+            continue
+        sign, exp, word = r.rhs
+        basis.append(NcPolynomial({r.lead: one, word: -sign * t ** exp}))
+    obs = frozenset(r.lead for r in alive)
+    return GroebnerResult(basis=tuple(basis), obstructions=obs, complete=complete, degree_bound=degree_bound)

@@ -43,7 +43,10 @@ class Presentation:
 def _parameter(mode) -> tuple[object, str]:
     if mode is None or mode == SYMBOLIC:
         return RationalFunction.t(), SYMBOLIC
-    value = Fraction(mode)
+    try:
+        value = Fraction(mode)
+    except ZeroDivisionError:
+        raise ValueError(f"specialised parameter {mode} has a zero denominator") from None
     if not (0 < value < 1):
         raise ValueError(f"specialised parameter must lie strictly between 0 and 1, got {value}")
     return value, f"t={value}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from .automaton import AvoidanceAutomaton, build_automaton, hilbert_prefix
@@ -69,7 +70,7 @@ class AnalysisReport:
             "groebner": None if self.groebner is None else self.groebner.to_json_dict(),
             "hilbert": None
             if self.hilbert is None
-            else {"prefix": list(self.hilbert), "cumulative": _cumulative(self.hilbert)},
+            else {"prefix": list(self.hilbert), "cumulative": list(accumulate(self.hilbert))},
             "growth": None if self.growth is None else self.growth.to_json_dict(),
             "free_pair": None if self.free_pair is None else self.free_pair.to_json_dict(),
             "discrepancies": list(self.discrepancies),
@@ -78,15 +79,6 @@ class AnalysisReport:
         if include_timings:
             out["timings"] = dict(self.timings)
         return out
-
-
-def _cumulative(seq: list[int]) -> list[int]:
-    out = []
-    acc = 0
-    for x in seq:
-        acc += x
-        out.append(acc)
-    return out
 
 
 def analyze(

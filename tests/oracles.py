@@ -4,16 +4,22 @@ Everything here deliberately avoids the package's automaton, completion and
 canonical-form machinery: normal words are enumerated by direct factor
 checks, quotient dimensions come from linear algebra over two-term relation
 instances (a weighted union-find, since every defining relation has at most
-two terms), and isomorphism classes are rebuilt by raw permutation search.
+two terms), isomorphism classes are rebuilt by raw permutation search, and
+`reference_buchberger` completes relations with plain scalar polynomial
+arithmetic instead of the package's tagged binomial rules.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import defaultdict, deque
 from fractions import Fraction
 
 from tlstar.graphs import TwoColoredStar
-from tlstar.presentation import build_presentation
+from tlstar.groebner import GroebnerResult
+from tlstar.ncpoly import NcPolynomial, word_contains, word_key
+from tlstar.presentation import Presentation, build_presentation
 
 
 def has_factor(word, factor):
@@ -194,3 +200,165 @@ def _permutation_isomorphic(g1: TwoColoredStar, g2: TwoColoredStar) -> bool:
         if mapped == g2.dashed:
             return True
     return False
+
+
+class _RefEntry:
+    __slots__ = ("id", "lead", "terms", "alive")
+
+    def __init__(self, eid, lead, terms):
+        self.id = eid
+        self.lead = lead
+        self.terms = terms
+        self.alive = True
+
+
+class _RefLeadIndex:
+    """Leading words grouped by first letter, sorted by (length, id)."""
+
+    def __init__(self):
+        self.by_letter = defaultdict(list)
+
+    def add(self, entry):
+        bucket = self.by_letter[entry.lead[0]]
+        bucket.append(entry)
+        bucket.sort(key=lambda e: (len(e.lead), e.id))
+
+    def remove(self, entry):
+        self.by_letter[entry.lead[0]].remove(entry)
+
+    def find(self, w):
+        """Leftmost occurrence of any leading word inside w."""
+        for pos in range(len(w)):
+            for e in self.by_letter.get(w[pos], ()):
+                ll = len(e.lead)
+                if ll > len(w) - pos:
+                    break
+                if w[pos:pos + ll] == e.lead:
+                    return pos, e
+        return None
+
+
+def _ref_reduce(terms, index):
+    """Rewrite the largest reducible monomial at its leftmost position until
+    no monomial is reducible, with scalar coefficient arithmetic."""
+    normal = {}
+    work = dict(terms)
+    while work:
+        w = max(work, key=word_key)
+        c = work.pop(w)
+        hit = index.find(w)
+        if hit is None:
+            normal[w] = c
+            continue
+        pos, entry = hit
+        left, right = w[:pos], w[pos + len(entry.lead):]
+        for tw, tc in entry.terms.items():
+            if tw == entry.lead:
+                continue
+            nw = left + tw + right
+            acc = work.get(nw, 0) - c * tc
+            if acc:
+                work[nw] = acc
+            else:
+                work.pop(nw, None)
+    return normal
+
+
+class _RefCompletion:
+    """Overlap completion over monic scalar polynomials, in the engine's
+    processing order: pending elements first, then overlaps by the key
+    (length, word, id, id, overlap), withdrawal of absorbed leads in id
+    order, and a final tail reduction in degree-lex order of the leads."""
+
+    def __init__(self, relations, degree_bound):
+        self.bound = degree_bound
+        self.index = _RefLeadIndex()
+        self.entries = {}
+        self.next_id = 0
+        self.heap = []
+        self.pending = deque(dict(r.terms) for r in relations if r)
+        self.skipped = []
+
+    def _alive(self):
+        return [e for e in self.entries.values() if e.alive]
+
+    def _enqueue_overlaps(self, a, b):
+        if len(a.terms) == 1 and len(b.terms) == 1:
+            return
+        u, v = a.lead, b.lead
+        for ell in range(1, min(len(u), len(v))):
+            if u[-ell:] == v[:ell]:
+                w = u + v[ell:]
+                heapq.heappush(self.heap, (len(w), w, a.id, b.id, ell))
+
+    def _insert(self, terms):
+        lead = max(terms, key=word_key)
+        lc = terms[lead]
+        terms = {w: c / lc for w, c in terms.items()}
+        for e in self._alive():
+            if word_contains(e.lead, lead):
+                e.alive = False
+                self.index.remove(e)
+                self.pending.append(e.terms)
+        entry = _RefEntry(self.next_id, lead, terms)
+        self.next_id += 1
+        self.entries[entry.id] = entry
+        self.index.add(entry)
+        for other in self._alive():
+            if other is not entry:
+                self._enqueue_overlaps(entry, other)
+                self._enqueue_overlaps(other, entry)
+        self._enqueue_overlaps(entry, entry)
+
+    def _spolynomial(self, a, b, ell):
+        u, v = a.lead, b.lead
+        right, left = v[ell:], u[:len(u) - ell]
+        out = {}
+        for w, c in a.terms.items():
+            if w != u:
+                out[w + right] = out.get(w + right, 0) + c
+        for w, c in b.terms.items():
+            if w != v:
+                out[left + w] = out.get(left + w, 0) - c
+        return {w: c for w, c in out.items() if c}
+
+    def run(self):
+        while self.pending or self.heap:
+            if self.pending:
+                red = _ref_reduce(self.pending.popleft(), self.index)
+                if red:
+                    self._insert(red)
+                continue
+            _, _, ia, ib, ell = heapq.heappop(self.heap)
+            a, b = self.entries[ia], self.entries[ib]
+            if not (a.alive and b.alive):
+                continue
+            if len(a.lead) + len(b.lead) - ell > self.bound:
+                self.skipped.append((ia, ib))
+                continue
+            red = _ref_reduce(self._spolynomial(a, b, ell), self.index)
+            if red:
+                self._insert(red)
+        truncated = any(
+            self.entries[ia].alive and self.entries[ib].alive for ia, ib in self.skipped
+        )
+        alive = sorted(self._alive(), key=lambda e: word_key(e.lead))
+        for e in alive:
+            tail = {w: c for w, c in e.terms.items() if w != e.lead}
+            reduced = _ref_reduce(tail, self.index)
+            reduced[e.lead] = e.terms[e.lead]
+            e.terms = reduced
+        return alive, not truncated
+
+
+def reference_buchberger(pres: Presentation, degree_bound=None) -> GroebnerResult:
+    """Completion with scalar Q(t)/Q arithmetic on whole polynomials."""
+    if degree_bound is None:
+        degree_bound = 2 * pres.n + 8
+    alive, complete = _RefCompletion(pres.relations, degree_bound).run()
+    return GroebnerResult(
+        basis=tuple(NcPolynomial(e.terms) for e in alive),
+        obstructions=frozenset(e.lead for e in alive),
+        complete=complete,
+        degree_bound=degree_bound,
+    )

@@ -107,6 +107,11 @@ class TestGb:
     def test_bad_parameter_exit_one(self):
         assert run_cli("gb", "K(2; 1-2)", "--t", "3/2") == 1
 
+    def test_zero_denominator_parameter_exit_one(self, capsys):
+        assert run_cli("classify", "K(2;1-2)", "--t", "1/0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
 
 class TestCrossvalidate:
     def test_small_sweep_agrees(self, capsys):
@@ -139,6 +144,12 @@ class TestWitness:
         assert code == 2
         assert "NOT free" in out and "obstruction" in out
 
+    @pytest.mark.parametrize("q1, q2", [("0,9", "1"), ("1", "0,3"), ("-1", "1")])
+    def test_check_letter_outside_alphabet_exit_one(self, capsys, q1, q2):
+        assert run_cli("witness", "K(2;1-2)", "--check", q1, q2) == 1
+        captured = capsys.readouterr()
+        assert "outside the alphabet" in captured.err and "NOT free" not in captured.out
+
     def test_search_linear_growth_none(self, capsys):
         code = run_cli("witness", "K(4; 1-2,3-4)")
         assert code == 0
@@ -166,6 +177,11 @@ class TestEnumerate:
 
 
 def test_console_entry_point_subprocess():
+    # A child process sees neither pytest's pythonpath setting nor src/; it
+    # needs tlstar installed or on PYTHONPATH.
+    probe = subprocess.run([sys.executable, "-c", "import tlstar"], capture_output=True)
+    if probe.returncode != 0:
+        pytest.skip("tlstar is neither installed nor on PYTHONPATH")
     proc = subprocess.run(
         [sys.executable, "-m", "tlstar.cli", "classify", "K(2; 1-2)"],
         capture_output=True, text=True,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import quotient_dimensions
+from oracles import quotient_dimensions, reference_buchberger
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
 from tlstar.groebner import (
@@ -15,7 +15,7 @@ from tlstar.groebner import (
     reduce,
 )
 from tlstar.ncpoly import NcPolynomial
-from tlstar.presentation import build_presentation
+from tlstar.presentation import Presentation, build_presentation
 from tlstar.scalars import Polynomial, RationalFunction, T
 
 ONE = T / T
@@ -202,3 +202,65 @@ class TestReductionProperties:
                           "smallest-leftmost", "smallest-rightmost")
             }
             assert len(forms) == 1
+
+
+def _same_completion(got, want):
+    assert got.obstructions == want.obstructions
+    assert got.complete == want.complete
+    assert sorted(p.format() for p in got.basis) == sorted(p.format() for p in want.basis)
+
+
+class TestReferenceCompletion:
+    """The tagged engine against the scalar-polynomial completion oracle."""
+
+    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
+    def test_every_class_up_to_five_leaves(self, mode):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                pres = build_presentation(g, mode)
+                _same_completion(buchberger(pres), reference_buchberger(pres))
+
+    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
+    @pytest.mark.parametrize("text", [
+        "K(5; 1-2,2-3,4-5)",
+        "K(4; 1-2,2-3,3-4,1-4)",
+        "K(4; 1-2,1-3,1-4,2-3,2-4,3-4)",
+    ])
+    def test_every_truncation(self, text, mode):
+        g = parse_graph(text)
+        pres = build_presentation(g, mode)
+        for bound in range(3, 2 * g.n + 9):
+            _same_completion(buchberger(pres, bound), reference_buchberger(pres, bound))
+
+    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
+    def test_alphabet_beyond_byte_range(self, mode):
+        # Leaves renumbered past 255, in order, so deglex order is kept and
+        # overlap words can no longer be held as bytes.
+        pres = build_presentation(parse_graph("K(4; 1-2,2-3,3-4,1-4)"), mode)
+        shift = {0: 0, **{k: k + 296 for k in range(1, 5)}}
+        rels = tuple(nc({tuple(shift[a] for a in w): c for w, c in rel.terms.items()})
+                     for rel in pres.relations)
+        big = Presentation(n=300, relations=rels, t=pres.t, mode=pres.mode)
+        res = buchberger(big)
+        _same_completion(res, reference_buchberger(big))
+        assert res.obstructions == {tuple(shift[a] for a in w) for w in buchberger(pres).obstructions}
+
+    def test_tag_mismatch_makes_zero_rule(self):
+        # p1 p1 = t p1 and p1 p1 = p1 give (1 - t) p1 = 0, hence p1 = 0.
+        rels = (nc({(1, 1): ONE, (1,): -T}), nc({(1, 1): ONE, (1,): -ONE}))
+        pres = Presentation(n=1, relations=rels, t=T, mode="symbolic")
+        res = buchberger(pres)
+        _same_completion(res, reference_buchberger(pres))
+        assert res.obstructions == {(1,)} and res.complete
+
+    def test_three_term_relation_rejected(self):
+        pres = Presentation(n=1, relations=(nc({(1, 1): ONE, (1,): -ONE, (0,): ONE}),), t=T, mode="symbolic")
+        with pytest.raises(ValueError):
+            buchberger(pres)
+
+    def test_coefficient_two_rejected(self):
+        half = Fraction(1, 2)
+        pres = Presentation(n=1, relations=(nc({(1, 1): Fraction(1), (1,): Fraction(-2)}),),
+                            t=half, mode="t=1/2")
+        with pytest.raises(ValueError):
+            buchberger(pres)
