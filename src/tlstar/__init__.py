@@ -11,7 +11,8 @@ of the same trichotomy.
 Every defining relation is a binomial with coefficient ratio in {+-1, +-t},
 so completion runs on exact (sign, t-exponent) tags instead of scalars;
 Q(t) or Q scalars appear only at the edge, in `buchberger`'s input and
-output and in `Rewriter`/`reduce`.  All results stay exact.
+output and in `Rewriter`/`reduce`.  `run_engine` is the one pipeline from
+a graph to its growth.  All results stay exact.
 """
 
 from .automaton import AvoidanceAutomaton, build_automaton, hilbert_prefix, is_normal_word
@@ -54,7 +55,7 @@ from .growth import (
 )
 from .ncpoly import NcPolynomial, Word, compare_words, format_word, parse_word, word_key
 from .presentation import Presentation, build_presentation
-from .report import AnalysisReport, SweepResult, analyze, cross_validate
+from .report import AnalysisReport, EngineRun, SweepResult, analyze, cross_validate, run_engine
 from .scalars import Polynomial, RationalFunction
 
 __version__ = "0.1.0"
@@ -64,6 +65,7 @@ __all__ = [
     "AvoidanceAutomaton",
     "CanonicalForm",
     "Embedding",
+    "EngineRun",
     "FreePairCertificate",
     "GroebnerResult",
     "GrowthClass",
@@ -104,6 +106,7 @@ __all__ = [
     "parse_word",
     "prune_isolated_leaves",
     "reduce",
+    "run_engine",
     "search_free_pair",
     "verify_free_pair",
     "word_key",

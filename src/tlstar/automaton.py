@@ -33,9 +33,6 @@ class AvoidanceAutomaton:
     def start(self) -> int:
         return 0
 
-    def step(self, state: int, letter: int) -> int:
-        return self.transitions[state][letter]
-
     def walk(self, word: Iterable[int]) -> int:
         state = 0
         for letter in word:

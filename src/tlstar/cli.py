@@ -16,13 +16,14 @@ import sys
 from itertools import accumulate
 from pathlib import Path
 
-from .automaton import build_automaton, hilbert_prefix
+# build_automaton, buchberger, build_presentation: not called here, but tracing tools wrap these names.
+from .automaton import build_automaton, hilbert_prefix  # noqa: F401
 from .graphs import enumerate_graphs, parse_graph
-from .groebner import buchberger
+from .groebner import buchberger  # noqa: F401
 from .growth import find_free_pair_violation, free_pair_window_bound, search_free_pair
 from .ncpoly import format_word, parse_word
-from .presentation import build_presentation
-from .report import analyze, cross_validate
+from .presentation import build_presentation  # noqa: F401
+from .report import analyze, cross_validate, run_engine
 
 __all__ = ["main"]
 
@@ -48,17 +49,13 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="'symbolic' (default) or a rational in (0,1) such as 1/2")
 
 
-def _t_mode(raw: str):
-    return "symbolic" if raw == "symbolic" else raw
-
-
 def _cmd_classify(args) -> int:
     g = parse_graph(args.graph)
     report = analyze(
         g,
         method=args.method,
         degree_bound=args.degree_bound,
-        t_mode=_t_mode(args.t),
+        t_mode=args.t,
         max_degree=args.max_degree,
     )
     print(f"graph:    {g}")
@@ -100,33 +97,30 @@ def _cmd_hilbert(args) -> int:
     g = parse_graph(args.graph)
     if args.max_degree > args.cap:
         raise SystemExit(_usage_error(f"max degree {args.max_degree} exceeds the cap {args.cap}"))
-    pres = build_presentation(g, _t_mode(args.t))
-    result = buchberger(pres, args.degree_bound)
-    aut = build_automaton(result.obstructions, pres.alphabet_size())
-    prefix = hilbert_prefix(aut, args.max_degree)
-    cumulative = 0
-    print(f"graph: {g}   (complete basis: {result.complete})")
-    if not result.complete:
+    run = run_engine(g, args.t, args.degree_bound)
+    complete = run.groebner.complete
+    prefix = hilbert_prefix(run.automaton, args.max_degree)
+    cumulative = list(accumulate(prefix))
+    print(f"graph: {g}   (complete basis: {complete})")
+    if not complete:
         print("warning: completion truncated; every count is an upper bound only")
     print(f"{'degree':>6}  {'words':>12}  {'cumulative':>12}")
-    for degree, count in enumerate(prefix):
-        cumulative += count
-        print(f"{degree:>6}  {count:>12}  {cumulative:>12}")
+    for degree, (count, total) in enumerate(zip(prefix, cumulative)):
+        print(f"{degree:>6}  {count:>12}  {total:>12}")
     if args.json:
         _write_json(args.json, {
             "graph": g.to_json_dict(),
-            "t": "symbolic" if args.t == "symbolic" else f"t={args.t}",
-            "complete": result.complete,
+            "t": run.presentation.mode,
+            "complete": complete,
             "prefix": prefix,
-            "cumulative": list(accumulate(prefix)),
+            "cumulative": cumulative,
         })
     return OK
 
 
 def _cmd_gb(args) -> int:
     g = parse_graph(args.graph)
-    pres = build_presentation(g, _t_mode(args.t))
-    result = buchberger(pres, args.degree_bound)
+    result = run_engine(g, args.t, args.degree_bound).groebner
     obs = sorted(result.obstructions, key=lambda w: (len(w), w))
     print(f"graph: {g}")
     print(f"basis size: {result.basis_size()}   complete: {result.complete}   "
@@ -153,7 +147,7 @@ def _cmd_crossvalidate(args) -> int:
             f"max leaves {args.max_leaves} needs --allow-large (sweeps beyond 6 are expensive)"))
     if args.max_leaves > 7:
         raise SystemExit(_usage_error("enumeration of classes is available up to 7 leaves"))
-    sweep = cross_validate(args.max_leaves, degree_bound=args.degree_bound, t_mode=_t_mode(args.t))
+    sweep = cross_validate(args.max_leaves, degree_bound=args.degree_bound, t_mode=args.t)
     print(f"classes up to {args.max_leaves} leaves: {len(sweep.rows)} "
           f"({sweep.engine_runs} distinct pruned classes run through the engine)")
     matrix = sweep.agreement_matrix()
@@ -181,8 +175,8 @@ def _cmd_witness(args) -> int:
             if outside:
                 raise ValueError(f"letter {outside[0]} in block {','.join(map(str, q))} "
                                  f"is outside the alphabet 0..{g.n}")
-    pres = build_presentation(g, _t_mode(args.t))
-    result = buchberger(pres, args.degree_bound)
+    run = run_engine(g, args.t, args.degree_bound)
+    result = run.groebner
     if not result.complete:
         print("warning: completion truncated; obstruction set is partial")
     if args.check:
@@ -212,8 +206,7 @@ def _cmd_witness(args) -> int:
                 "obstruction": list(obstruction),
             })
         return DISCREPANCY
-    aut = build_automaton(result.obstructions, pres.alphabet_size())
-    cert = search_free_pair(aut, args.max_block_len)
+    cert = search_free_pair(run.automaton, args.max_block_len)
     if cert is None:
         print("none")
         if args.json:

@@ -98,9 +98,6 @@ class Embedding:
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
 
-    def apply(self, leaf: int) -> int:
-        return dict(self.mapping)[leaf]
-
     def is_valid(self, host: TwoColoredStar, pattern: TwoColoredStar) -> bool:
         m = self.as_dict()
         if sorted(m) != list(range(1, pattern.n + 1)):
@@ -285,9 +282,6 @@ def delete_dashed_edge(g: TwoColoredStar, pair: Pair) -> TwoColoredStar:
     return TwoColoredStar(g.n, g.dashed - {(i, j)})
 
 
-DEFAULT_ENUMERATION_CAP = 7
-
-
 @functools.lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[TwoColoredStar, ...]:
     import networkx as nx
@@ -302,7 +296,7 @@ def _enumerate_cached(n: int) -> tuple[TwoColoredStar, ...]:
     return tuple(graphs)
 
 
-def enumerate_graphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[TwoColoredStar]:
+def enumerate_graphs(n: int) -> list[TwoColoredStar]:
     """One representative per isomorphism class of dashed configurations on n leaves.
 
     Representatives come from the atlas of small graphs and are returned in
@@ -310,8 +304,6 @@ def enumerate_graphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[TwoColo
     """
     if n < 1:
         raise ValueError(f"leaf count must be at least 1, got {n}")
-    if n > cap:
-        raise ValueError(f"leaf count {n} exceeds the enumeration cap {cap}")
     if n > 7:
         raise ValueError("enumeration is backed by the atlas of small graphs (n <= 7)")
     return list(_enumerate_cached(n))

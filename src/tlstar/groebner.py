@@ -14,8 +14,10 @@ word`` or ``lead -> 0``.  A (sign, exp) tag is an exact coefficient: since
 0 < t < 1, t**a == t**b only when a == b, so two tagged terms on the same
 word cancel exactly when their tags are equal and opposite.  The core does
 no scalar arithmetic at all; Q(t) or Q scalars appear only at the edge,
-where `buchberger` reads the relations and writes the monic basis, and in
-`Rewriter`, which reduces arbitrary polynomials.  Results stay exact.
+where `buchberger` reads the relations and writes the monic basis.
+`Rewriter` reduces arbitrary polynomials modulo any binomial basis the
+same way, one word at a time, carrying a scalar coefficient instead of a
+tag.  Results stay exact.
 
 If no overlap ever exceeds the bound the finished basis is a full Groebner
 basis and the result is marked complete; otherwise it is only a truncation
@@ -140,118 +142,68 @@ class _LeadTable:
                     return pos, entry
         return None
 
-    def find_rightmost(self, w: Word):
-        get = self.by_lead.get
-        lengths = self.lengths
-        lw = len(w)
-        for pos in range(lw - 1, -1, -1):
-            rem = lw - pos
-            for n in lengths:
-                if n > rem:
-                    break
-                entry = get(w[pos:pos + n])
-                if entry is not None:
-                    return pos, entry
-        return None
 
+class _WordRule:
+    """``lead -> coeff * word`` (rhs = (coeff, word)) or ``lead -> 0`` (rhs None)."""
 
-class _Entry:
-    """A monic polynomial of a fixed basis, reduced with scalar arithmetic."""
+    __slots__ = ("lead", "rhs")
 
-    __slots__ = ("id", "lead", "terms")
-
-    def __init__(self, eid: int, lead: Word, terms: dict):
-        self.id = eid
+    def __init__(self, lead: Word, rhs: Optional[tuple]):
         self.lead = lead
-        self.terms = terms
-
-
-def _reduce_dict(terms: dict, index: _LeadTable) -> dict:
-    """Normal form of a term dict: repeatedly rewrite the largest reducible
-    monomial at its leftmost reducible position."""
-    normal: dict[Word, object] = {}
-    work = dict(terms)
-    find = index.find
-    while work:
-        w = max(work, key=word_key)
-        c = work.pop(w)
-        hit = find(w)
-        if hit is None:
-            normal[w] = c
-            continue
-        pos, entry = hit
-        lead = entry.lead
-        left = w[:pos]
-        right = w[pos + len(lead):]
-        for tw, tc in entry.terms.items():
-            if tw == lead:
-                continue
-            nw = left + tw + right
-            acc = work.get(nw)
-            if acc is None:
-                work[nw] = -(c * tc)
-            else:
-                acc = acc - c * tc
-                if acc:
-                    work[nw] = acc
-                else:
-                    del work[nw]
-    return normal
+        self.rhs = rhs
 
 
 class Rewriter:
-    """Reduction modulo a fixed list of monic basis elements."""
+    """Reduction modulo a fixed list of binomial basis elements.
+
+    Each monic element becomes a rule ``lead -> coeff * word`` or
+    ``lead -> 0``, so rewriting sends a word to a scalar multiple of one
+    word or to zero.  Reduction is therefore linear word by word: the normal
+    form of p is the sum of ``c * coeff * normal_word`` over its terms
+    ``c * w``, each word rewritten at its leftmost reducible position.
+    Raises ValueError on a basis element with more than two terms.
+    """
 
     def __init__(self, basis: Sequence[NcPolynomial]):
         self.index = _LeadTable()
-        for k, p in enumerate(basis):
+        for p in basis:
             if not p:
                 continue
-            q = p.monic()
-            self.index.add(_Entry(k, q.leading_word(), dict(q.terms)))
+            terms = p.monic().sorted_terms()
+            if len(terms) > 2:
+                raise ValueError(f"basis element {p.format()} is not a binomial")
+            lead = terms[0][0]
+            rhs = None if len(terms) == 1 else (-terms[1][1], terms[1][0])
+            self.index.add(_WordRule(lead, rhs))
 
-    def reduce(self, p: NcPolynomial, strategy: str = "largest-leftmost") -> NcPolynomial:
-        if strategy == "largest-leftmost":
-            return NcPolynomial(_reduce_dict(dict(p.terms), self.index))
-        return NcPolynomial(self._reduce_generic(dict(p.terms), strategy))
-
-    def _reduce_generic(self, work: dict, strategy: str) -> dict:
-        """Alternative strategies used to check confluence; slower but still
-        terminating since every rewrite strictly decreases the term multiset."""
-        monomial_pick, position_pick = strategy.split("-")
+    def _normal(self, c, w: Word) -> Optional[tuple]:
+        """(coefficient, normal word) of c * w, or None if it reduces to zero."""
+        find = self.index.find
         while True:
-            candidates = []
-            for w in work:
-                hit = self.index.find(w) if position_pick == "leftmost" else self.index.find_rightmost(w)
-                if hit is not None:
-                    candidates.append((w, hit))
-            if not candidates:
-                return work
-            if monomial_pick == "largest":
-                w, (pos, entry) = max(candidates, key=lambda it: word_key(it[0]))
-            else:
-                w, (pos, entry) = min(candidates, key=lambda it: word_key(it[0]))
-            c = work.pop(w)
-            lead = entry.lead
-            left, right = w[:pos], w[pos + len(lead):]
-            for tw, tc in entry.terms.items():
-                if tw == lead:
-                    continue
-                nw = left + tw + right
-                acc = work.get(nw)
-                if acc is None:
-                    work[nw] = -(c * tc)
-                else:
-                    acc = acc - c * tc
-                    if acc:
-                        work[nw] = acc
-                    else:
-                        del work[nw]
+            found = find(w)
+            if found is None:
+                return c, w
+            pos, rule = found
+            if rule.rhs is None:
+                return None
+            coeff, r = rule.rhs
+            c = c * coeff
+            w = w[:pos] + r + w[pos + len(rule.lead):]
+
+    def reduce(self, p: NcPolynomial) -> NcPolynomial:
+        out: dict[Word, object] = {}
+        for w, c in p.terms.items():
+            nf = self._normal(c, w)
+            if nf is not None:
+                c, nw = nf
+                acc = out.get(nw)
+                out[nw] = c if acc is None else acc + c
+        return NcPolynomial(out)
 
 
-def reduce(p: NcPolynomial, basis: Sequence[NcPolynomial], strategy: str = "largest-leftmost") -> NcPolynomial:
-    """Normal form of p modulo the two-sided ideal of the (monic) basis."""
-    return Rewriter(basis).reduce(p, strategy=strategy)
+def reduce(p: NcPolynomial, basis: Sequence[NcPolynomial]) -> NcPolynomial:
+    """Normal form of p modulo the two-sided ideal of the binomial basis."""
+    return Rewriter(basis).reduce(p)
 
 
 # A tagged term (sign, exp, word) stands for sign * t**exp * word.  A pending

@@ -82,10 +82,6 @@ class NcPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         self.terms = {w: c for w, c in items if c}
 
-    @classmethod
-    def from_word(cls, w: Word, coeff=1) -> "NcPolynomial":
-        return cls({tuple(w): coeff})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -15,7 +15,7 @@ from .graphs import TwoColoredStar
 from .ncpoly import NcPolynomial
 from .scalars import RationalFunction
 
-__all__ = ["Presentation", "build_presentation"]
+__all__ = ["Presentation", "build_presentation", "parameter_label"]
 
 SYMBOLIC = "symbolic"
 
@@ -50,6 +50,14 @@ def _parameter(mode) -> tuple[object, str]:
     if not (0 < value < 1):
         raise ValueError(f"specialised parameter must lie strictly between 0 and 1, got {value}")
     return value, f"t={value}"
+
+
+def parameter_label(mode=SYMBOLIC) -> str:
+    """Checked label of a parameter mode: "symbolic" or "t=p/q" in lowest terms.
+
+    Raises ValueError for anything `build_presentation` would reject.
+    """
+    return _parameter(mode)[1]
 
 
 def build_presentation(g: TwoColoredStar, mode=SYMBOLIC) -> Presentation:

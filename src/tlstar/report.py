@@ -1,18 +1,20 @@
-"""End-to-end analysis of a single graph and the exhaustive cross-validation sweep.
+"""The engine pipeline, end-to-end analysis of one graph, and the exhaustive sweep.
 
-A full analysis runs the graph-theoretic classifier (always) and the
-Groebner/automaton engine (unless asked not to), then reconciles the two:
-any coarse-growth mismatch, violated component-count condition, or
-truncated completion raises a discrepancy flag that drives the CLI exit
-code.  The sweep applies the same reconciliation to every isomorphism
-class up to a leaf bound, deduplicating engine runs by the canonical form
-of the pruned graph.
+`run_engine` is the one path from a graph to its growth: presentation,
+completion, avoidance automaton, growth class.  A full analysis runs the
+graph-theoretic classifier (always) and the engine (unless asked not to),
+then reconciles the two: any coarse-growth mismatch, violated
+component-count condition, or truncated completion raises a discrepancy
+flag that drives the CLI exit code.  The sweep applies the same
+reconciliation to every isomorphism class up to a leaf bound,
+deduplicating engine runs by the canonical form of the pruned graph.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -27,12 +29,48 @@ from .graphs import (
 )
 from .groebner import GroebnerResult, buchberger
 from .growth import FreePairCertificate, GrowthClass, classify_growth, search_free_pair
-from .presentation import build_presentation
+from .presentation import Presentation, build_presentation, parameter_label
 
-__all__ = ["AnalysisReport", "SweepResult", "analyze", "cross_validate"]
+__all__ = ["AnalysisReport", "EngineRun", "SweepResult", "analyze", "cross_validate", "run_engine"]
 
 DEFAULT_HILBERT_DEGREE = 12
 DEFAULT_SEARCH_BLOCKS = 12
+
+
+@dataclass(frozen=True)
+class EngineRun:
+    """Presentation and completion of one graph; automaton and growth are built on first read."""
+
+    presentation: Presentation
+    groebner: GroebnerResult
+
+    @cached_property
+    def automaton(self) -> AvoidanceAutomaton:
+        return build_automaton(self.groebner.obstructions, self.presentation.alphabet_size())
+
+    @cached_property
+    def growth(self) -> GrowthClass:
+        return classify_growth(self.automaton, complete=self.groebner.complete)
+
+
+def run_engine(g: TwoColoredStar, t_mode="symbolic", degree_bound: Optional[int] = None) -> EngineRun:
+    """Relations of g completed into a (possibly truncated) Groebner basis.
+
+    Every stage is looked up in this module's namespace at call time, so a
+    wrapper installed on ``tlstar.report.buchberger`` (or any other stage)
+    sees every engine run.
+    """
+    pres = build_presentation(g, t_mode)
+    return EngineRun(pres, buchberger(pres, degree_bound))
+
+
+def _disagreements(verdict: TheoremVerdict, growth: GrowthClass) -> list[str]:
+    """Ways the engine's growth contradicts the structural verdict; empty when they agree."""
+    if growth.coarse != verdict.coarse_growth:
+        return [f"engine growth {growth.coarse} disagrees with structural verdict {verdict.coarse}"]
+    if growth.coarse == "polynomial" and growth.gk_degree != 1:
+        return [f"structural verdict asserts linear growth but engine found gk degree {growth.gk_degree}"]
+    return []
 
 
 @dataclass
@@ -92,6 +130,7 @@ def analyze(
     """Run the requested classifiers on g and reconcile their verdicts."""
     if method not in ("both", "theorem", "groebner"):
         raise ValueError(f"unknown method {method!r}")
+    t_label = parameter_label(t_mode)
     t_total = time.perf_counter()
     pruned, removed = prune_isolated_leaves(g)
     verdict = classify_by_theorem(g)
@@ -102,7 +141,7 @@ def analyze(
         removed_leaves=removed,
         nu=verdict.nu,
         method=method,
-        t_mode="symbolic" if t_mode in (None, "symbolic") else f"t={t_mode}",
+        t_mode=t_label,
         theorem=verdict,
         nu_violations=nu_violations,
     )
@@ -110,17 +149,14 @@ def analyze(
 
     if method != "theorem":
         t0 = time.perf_counter()
-        pres = build_presentation(g, t_mode)
-        result = buchberger(pres, degree_bound)
+        run = run_engine(g, t_mode, degree_bound)
+        result = report.groebner = run.groebner
         report.timings["groebner_s"] = time.perf_counter() - t0
-        report.groebner = result
 
         t0 = time.perf_counter()
-        aut = build_automaton(result.obstructions, pres.alphabet_size())
-        report.automaton = aut
+        aut = report.automaton = run.automaton
         report.hilbert = hilbert_prefix(aut, max_degree)
-        growth = classify_growth(aut, complete=result.complete)
-        report.growth = growth
+        growth = report.growth = run.growth
         if growth.coarse == "exponential" and result.complete:
             report.free_pair = search_free_pair(aut, search_blocks)
         report.timings["automaton_s"] = time.perf_counter() - t0
@@ -129,14 +165,7 @@ def analyze(
             report.discrepancies.append(
                 f"completion truncated at degree {result.degree_bound}; engine growth is an upper bound only"
             )
-        if growth.coarse != verdict.coarse_growth:
-            report.discrepancies.append(
-                f"engine growth {growth.coarse} disagrees with structural verdict {verdict.coarse}"
-            )
-        elif growth.coarse == "polynomial" and growth.gk_degree != 1:
-            report.discrepancies.append(
-                f"structural verdict asserts linear growth but engine found gk degree {growth.gk_degree}"
-            )
+        report.discrepancies.extend(_disagreements(verdict, growth))
     report.timings["total_s"] = time.perf_counter() - t_total
     return report
 
@@ -153,11 +182,7 @@ class SweepRow:
 
     @property
     def agree(self) -> bool:
-        if self.theorem.coarse_growth != self.engine_growth.coarse:
-            return False
-        if self.engine_growth.coarse == "polynomial" and self.engine_growth.gk_degree != 1:
-            return False
-        return not self.nu_violations
+        return not (self.nu_violations or _disagreements(self.theorem, self.engine_growth))
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,8 +251,13 @@ def cross_validate(
 
     Engine results are computed once per isomorphism class of the pruned
     graph (growth is invariant under pruning and relabelling, which the
-    test suite checks separately) and reused across rows.
+    test suite checks separately) and reused across rows.  Only (growth,
+    complete) is kept per class, so memory stays flat over the sweep.
+    Raises ValueError unless max_leaves >= 1.
     """
+    if max_leaves < 1:
+        raise ValueError(f"max leaves must be at least 1, got {max_leaves}")
+    t_label = parameter_label(t_mode)
     engine_cache: dict = {}
     rows: list[SweepRow] = []
     for n in range(1, max_leaves + 1):
@@ -237,12 +267,8 @@ def cross_validate(
             key = canonical_form(rep)
             cached = engine_cache.get(key)
             if cached is None:
-                pres = build_presentation(rep, t_mode)
-                result = buchberger(pres, degree_bound)
-                aut = build_automaton(result.obstructions, pres.alphabet_size())
-                growth = classify_growth(aut, complete=result.complete)
-                cached = (growth, result.complete)
-                engine_cache[key] = cached
+                run = run_engine(rep, t_mode, degree_bound)
+                cached = engine_cache[key] = (run.growth, run.groebner.complete)
             growth, complete = cached
             verdict = classify_by_theorem(g)
             rows.append(
@@ -256,5 +282,4 @@ def cross_validate(
                     nu_violations=check_nu_conditions(g, verdict),
                 )
             )
-    t_label = "symbolic" if t_mode in (None, "symbolic") else f"t={t_mode}"
     return SweepResult(max_leaves=max_leaves, t_mode=t_label, rows=rows, engine_runs=len(engine_cache))

@@ -5,11 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tlstar.automaton import build_automaton
 from tlstar.graphs import TwoColoredStar, canonical_form, canonical_representative
-from tlstar.groebner import buchberger
-from tlstar.growth import classify_growth
-from tlstar.presentation import build_presentation
+from tlstar.report import run_engine
 
 
 class EngineCache:
@@ -24,11 +21,8 @@ class EngineCache:
         key = (g, str(t_mode))
         hit = self._full.get(key)
         if hit is None:
-            pres = build_presentation(g, t_mode)
-            result = buchberger(pres)
-            aut = build_automaton(result.obstructions, pres.alphabet_size())
-            growth = classify_growth(aut, complete=result.complete)
-            hit = (result, aut, growth)
+            run = run_engine(g, t_mode)
+            hit = (run.groebner, run.automaton, run.growth)
             self._full[key] = hit
         return hit
 

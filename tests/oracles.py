@@ -6,7 +6,9 @@ checks, quotient dimensions come from linear algebra over two-term relation
 instances (a weighted union-find, since every defining relation has at most
 two terms), isomorphism classes are rebuilt by raw permutation search, and
 `reference_buchberger` completes relations with plain scalar polynomial
-arithmetic instead of the package's tagged binomial rules.
+arithmetic instead of the package's tagged binomial rules, and
+`reference_reduce` reduces whole polynomials under a choice of rewriting
+strategies instead of the package's word-by-word rewriting.
 """
 
 from __future__ import annotations
@@ -237,6 +239,17 @@ class _RefLeadIndex:
                     return pos, e
         return None
 
+    def find_rightmost(self, w):
+        """Rightmost occurrence of any leading word inside w."""
+        for pos in range(len(w) - 1, -1, -1):
+            for e in self.by_letter.get(w[pos], ()):
+                ll = len(e.lead)
+                if ll > len(w) - pos:
+                    break
+                if w[pos:pos + ll] == e.lead:
+                    return pos, e
+        return None
+
 
 def _ref_reduce(terms, index):
     """Rewrite the largest reducible monomial at its leftmost position until
@@ -262,6 +275,48 @@ def _ref_reduce(terms, index):
             else:
                 work.pop(nw, None)
     return normal
+
+
+# The basis of the last reference_reduce call and its index; callers reduce
+# many polynomials against one basis, so the index is built once per basis.
+_last_index = [None, None]
+
+
+def reference_reduce(p, basis, strategy="largest-leftmost"):
+    """Normal form of p by whole-polynomial rewriting with scalar arithmetic.
+
+    ``strategy`` is "<largest|smallest>-<leftmost|rightmost>": which
+    reducible monomial to rewrite next, and at which occurrence of a
+    leading word.  Every rewrite strictly decreases the term multiset, so
+    each strategy terminates; against a Groebner basis all four agree.
+    """
+    if _last_index[0] is not basis:
+        index = _RefLeadIndex()
+        for k, q in enumerate(r for r in basis if r):
+            q = q.monic()
+            index.add(_RefEntry(k, q.leading_word(), dict(q.terms)))
+        _last_index[:] = [basis, index]
+    index = _last_index[1]
+    monomial_pick, position_pick = strategy.split("-")
+    pick = max if monomial_pick == "largest" else min
+    find = index.find if position_pick == "leftmost" else index.find_rightmost
+    work = dict(p.terms)
+    while True:
+        hits = [(w, hit) for w in work for hit in (find(w),) if hit is not None]
+        if not hits:
+            return NcPolynomial(work)
+        w, (pos, entry) = pick(hits, key=lambda it: word_key(it[0]))
+        c = work.pop(w)
+        left, right = w[:pos], w[pos + len(entry.lead):]
+        for tw, tc in entry.terms.items():
+            if tw == entry.lead:
+                continue
+            nw = left + tw + right
+            acc = work.get(nw, 0) - c * tc
+            if acc:
+                work[nw] = acc
+            else:
+                work.pop(nw, None)
 
 
 class _RefCompletion:

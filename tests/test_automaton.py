@@ -19,7 +19,7 @@ class TestConstruction:
     def test_no_obstructions_single_letter(self):
         aut = build_automaton(set(), 1)
         assert aut.live_state_count() == 1
-        assert aut.step(0, 0) == 0
+        assert aut.transitions[0][0] == 0
         assert hilbert_prefix(aut, 5) == [1] * 6
 
     def test_orthogonal_star_is_acyclic_beyond_degree_three(self):

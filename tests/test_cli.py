@@ -49,6 +49,18 @@ class TestClassify:
         assert run_cli("classify") == 1
         assert run_cli("classify", "K(2;)", "--method", "psychic") == 1
 
+    @pytest.mark.parametrize("t", ["abc", "2"])
+    def test_bad_parameter_exit_one_without_engine(self, capsys, t):
+        assert run_cli("classify", "K(2;1-2)", "--method", "theorem", "--t", t) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
+    def test_parameter_label_normalised(self, tmp_path):
+        path = tmp_path / "c.json"
+        assert run_cli("classify", "K(2;1-2)", "--t", "2/4", "--json", str(path)) == 0
+        assert json.loads(path.read_text())["t"] == "t=1/2"
+
     def test_truncated_bound_exit_two(self, capsys):
         code = run_cli("classify", "K(5; 1-2,2-3,4-5)", "--degree-bound", "4")
         out = capsys.readouterr().out
@@ -84,6 +96,11 @@ class TestHilbert:
         payload = json.loads(path.read_text())
         assert payload["prefix"] == [1, 3, 4, 2, 0]
         assert payload["cumulative"] == [1, 4, 8, 10, 10]
+
+    def test_parameter_label_normalised(self, tmp_path):
+        path = tmp_path / "h.json"
+        assert run_cli("hilbert", "K(2;)", "4", "--t", "2/4", "--json", str(path)) == 0
+        assert json.loads(path.read_text())["t"] == "t=1/2"
 
 
 class TestGb:
@@ -123,6 +140,17 @@ class TestCrossvalidate:
     def test_large_needs_override(self):
         assert run_cli("crossvalidate", "--max-leaves", "7") == 1
         assert run_cli("crossvalidate", "--max-leaves", "8", "--allow-large") == 1
+
+    @pytest.mark.parametrize("max_leaves", ["0", "-1"])
+    def test_empty_sweep_exit_one(self, capsys, max_leaves):
+        assert run_cli("crossvalidate", "--max-leaves", max_leaves) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "all agree" not in captured.out
+
+    def test_parameter_label_normalised(self, tmp_path):
+        path = tmp_path / "cv.json"
+        assert run_cli("crossvalidate", "--max-leaves", "2", "--t", "2/4", "--json", str(path)) == 0
+        assert json.loads(path.read_text())["t"] == "t=1/2"
 
     def test_json_rows(self, tmp_path):
         path = tmp_path / "cv.json"

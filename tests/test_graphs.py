@@ -231,8 +231,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_graphs(8)
         with pytest.raises(ValueError):
-            enumerate_graphs(5, cap=4)
-        with pytest.raises(ValueError):
             enumerate_graphs(0)
 
     @given(stars(max_n=5))

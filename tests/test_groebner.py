@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import quotient_dimensions, reference_buchberger
+from oracles import quotient_dimensions, reference_buchberger, reference_reduce
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
 from tlstar.groebner import (
@@ -46,6 +46,23 @@ class TestReduce:
 
     def test_zero_input(self):
         assert reduce(NcPolynomial(), []) == NcPolynomial()
+
+    def test_rejects_three_term_basis_element(self):
+        basis = [nc({(1, 1): ONE, (1,): -ONE, (0,): ONE})]
+        with pytest.raises(ValueError, match="not a binomial"):
+            Rewriter(basis)
+
+    @pytest.mark.parametrize("text", ["K(2; 1-2)", "K(3; 1-2,2-3)", "K(4; 1-2,3-4)"])
+    def test_word_by_word_matches_largest_leftmost_on_relations(self, text):
+        # The defining relations are not a Groebner basis, so normal forms
+        # depend on the rewriting order; per-word leftmost rewriting must
+        # still agree with rewriting the largest monomial leftmost first.
+        g = parse_graph(text)
+        relations = build_presentation(g).relations
+        rng = random.Random(404)
+        for _ in range(60):
+            p = random_polynomial(rng, g.n)
+            assert reduce(p, relations) == reference_reduce(p, relations)
 
 
 class TestBuchberger:
@@ -166,9 +183,11 @@ def random_polynomial(rng: random.Random, n: int, max_terms=4, max_len=5) -> NcP
 class TestReductionProperties:
     GRAPHS = ["K(2; 1-2)", "K(3; 1-2,2-3)", "K(3; 1-2,1-3,2-3)", "K(4; 1-2,3-4)"]
 
+    def _basis(self, text):
+        return buchberger(build_presentation(parse_graph(text))).basis
+
     def _rewriter(self, text):
-        pres = build_presentation(parse_graph(text))
-        return Rewriter(buchberger(pres).basis), parse_graph(text).n
+        return Rewriter(self._basis(text)), parse_graph(text).n
 
     @pytest.mark.parametrize("text", GRAPHS)
     def test_idempotent(self, text):
@@ -192,12 +211,13 @@ class TestReductionProperties:
 
     @pytest.mark.parametrize("text", GRAPHS)
     def test_confluent_across_strategies(self, text):
-        rewriter, n = self._rewriter(text)
+        basis = self._basis(text)
+        rewriter, n = Rewriter(basis), parse_graph(text).n
         rng = random.Random(303)
         for _ in range(40):
             p = random_polynomial(rng, n)
-            forms = {
-                rewriter.reduce(p, strategy=s).format()
+            forms = {rewriter.reduce(p).format()} | {
+                reference_reduce(p, basis, s).format()
                 for s in ("largest-leftmost", "largest-rightmost",
                           "smallest-leftmost", "smallest-rightmost")
             }

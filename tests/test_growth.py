@@ -11,7 +11,6 @@ from tlstar.graphs import (
     parse_graph,
     prune_isolated_leaves,
 )
-from tlstar.groebner import buchberger
 from tlstar.growth import (
     classify_growth,
     find_free_pair_violation,
@@ -19,16 +18,14 @@ from tlstar.growth import (
     search_free_pair,
     verify_free_pair,
 )
-from tlstar.presentation import build_presentation
+from tlstar.report import run_engine
 
 COARSE_ORDER = {"finite": 0, "polynomial": 1, "exponential": 2}
 
 
 def engine_parts(g, degree_bound=None):
-    pres = build_presentation(g)
-    res = buchberger(pres, degree_bound)
-    aut = build_automaton(res.obstructions, pres.alphabet_size())
-    return res, aut, classify_growth(aut, complete=res.complete)
+    run = run_engine(g, degree_bound=degree_bound)
+    return run.groebner, run.automaton, run.growth
 
 
 class TestClassify:
@@ -48,10 +45,7 @@ class TestClassify:
         assert growth.dimension is None and growth.gk_degree is None
 
     def test_incomplete_sets_upper_bound_flag(self):
-        pres = build_presentation(parse_graph("K(5; 1-2,2-3,4-5)"))
-        res = buchberger(pres, degree_bound=3)
-        aut = build_automaton(res.obstructions, 6)
-        growth = classify_growth(aut, complete=res.complete)
+        _, _, growth = engine_parts(parse_graph("K(5; 1-2,2-3,4-5)"), degree_bound=3)
         assert growth.upper_bound_only
 
     def test_finite_iff_hilbert_eventually_zero(self):

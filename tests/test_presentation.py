@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from test_graphs import stars_with_permutation
 from tlstar.graphs import parse_graph, relabel
 from tlstar.ncpoly import NcPolynomial
-from tlstar.presentation import build_presentation
+from tlstar.presentation import build_presentation, parameter_label
 from tlstar.scalars import RationalFunction
 
 
@@ -85,10 +85,18 @@ class TestParameterModes:
         assert not pres.symbolic and pres.t == Fraction(1, 2)
         assert pres.mode == "t=1/2"
 
-    @pytest.mark.parametrize("bad", ["0", "1", "5/4", "-1/2", Fraction(7, 3)])
+    @pytest.mark.parametrize("bad", ["0", "1", "5/4", "-1/2", Fraction(7, 3), "abc"])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             build_presentation(parse_graph("K(1;)"), bad)
+        with pytest.raises(ValueError):
+            parameter_label(bad)
+
+    @pytest.mark.parametrize("mode, label", [
+        ("symbolic", "symbolic"), (None, "symbolic"), ("2/4", "t=1/2"), ("0.25", "t=1/4"),
+    ])
+    def test_label_in_lowest_terms(self, mode, label):
+        assert parameter_label(mode) == label
 
 
 @given(stars_with_permutation(max_n=4))

@@ -2,8 +2,33 @@ import json
 
 import pytest
 
+from tlstar.automaton import build_automaton
 from tlstar.graphs import parse_graph
-from tlstar.report import analyze, cross_validate
+from tlstar.groebner import buchberger
+from tlstar.growth import classify_growth
+from tlstar.presentation import build_presentation
+from tlstar.report import analyze, cross_validate, run_engine
+
+
+class TestRunEngine:
+    @pytest.mark.parametrize("t_mode", ["symbolic", "1/2"])
+    @pytest.mark.parametrize("text", ["K(3; 1-2,1-3,2-3)", "K(4; 1-2,3-4)", "K(5; 1-2,2-3,4-5)"])
+    def test_matches_hand_chain(self, text, t_mode):
+        g = parse_graph(text)
+        pres = build_presentation(g, t_mode)
+        result = buchberger(pres)
+        aut = build_automaton(result.obstructions, pres.alphabet_size())
+        run = run_engine(g, t_mode)
+        assert run.groebner == result
+        assert run.automaton == aut
+        assert run.growth == classify_growth(aut, complete=result.complete)
+
+    def test_automaton_built_only_when_read(self):
+        run = run_engine(parse_graph("K(4; 1-2,3-4)"))
+        assert run.groebner.complete
+        assert "automaton" not in vars(run) and "growth" not in vars(run)
+        assert run.growth.coarse == "polynomial"
+        assert "automaton" in vars(run)
 
 
 class TestAnalyze:
@@ -32,6 +57,12 @@ class TestAnalyze:
         r = analyze(parse_graph("K(2; 1-2)"), t_mode="1/3")
         assert r.t_mode == "t=1/3"
         assert not r.discrepancy
+
+    def test_theorem_only_still_checks_parameter(self):
+        with pytest.raises(ValueError):
+            analyze(parse_graph("K(2; 1-2)"), method="theorem", t_mode="abc")
+        r = analyze(parse_graph("K(2; 1-2)"), method="theorem", t_mode="2/4")
+        assert r.t_mode == "t=1/2"
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -78,6 +109,11 @@ class TestCrossValidate:
         sweep = cross_validate(4)
         assert len(sweep.rows) == 1 + 2 + 4 + 11
         assert sweep.engine_runs == 1 + 1 + 2 + 7
+
+    @pytest.mark.parametrize("max_leaves", [0, -1])
+    def test_empty_sweep_rejected(self, max_leaves):
+        with pytest.raises(ValueError, match="at least 1"):
+            cross_validate(max_leaves)
 
     def test_json_shape(self):
         payload = cross_validate(2).to_json_dict()
