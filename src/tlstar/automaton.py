@@ -1,17 +1,19 @@
 """Deterministic automaton recognising words that avoid a set of factors.
 
-States are the proper prefixes of the obstruction words, linked by
-failure-function transitions in the style of Aho-Corasick; a transition
-dies exactly when the extended word acquires an obstruction as a suffix.
-Paths from the start state through live states spell exactly the normal
-words, so counting fixed-length paths gives the Hilbert function of the
-monomial quotient.
+States are the proper prefixes of the obstruction words, built in one
+Aho-Corasick pass: each state's row is filled from its own extensions and
+from the row of its fallback, its longest proper suffix that is also a
+state.  A transition dies exactly when the extended word acquires an
+obstruction as a suffix.  The same pass checks that the obstructions form
+an antichain.  Paths from the start state spell exactly the normal words,
+so counting fixed-length paths gives the Hilbert function of the monomial
+quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .ncpoly import Word, word_contains, word_key
 
@@ -54,16 +56,17 @@ def is_normal_word(word: Word, obs: Iterable[Word]) -> bool:
 
 
 def build_automaton(obs: Iterable[Word], alphabet_size: int) -> AvoidanceAutomaton:
-    """Build the factor-avoidance automaton for an antichain of obstructions."""
+    """Build the factor-avoidance automaton for an antichain of obstructions.
+
+    Raises ValueError on the empty word, on letters outside the alphabet,
+    and when one obstruction is a factor of another.
+    """
     obs_set = frozenset(tuple(w) for w in obs)
     for w in obs_set:
         if not w:
             raise ValueError("the empty word cannot be an obstruction")
         if any(x < 0 or x >= alphabet_size for x in w):
             raise ValueError(f"obstruction {w} uses letters outside the alphabet")
-        for u in obs_set:
-            if u != w and word_contains(w, u):
-                raise ValueError(f"obstruction set is not an antichain: {u} divides {w}")
 
     prefixes = {()}
     for w in obs_set:
@@ -72,25 +75,26 @@ def build_automaton(obs: Iterable[Word], alphabet_size: int) -> AvoidanceAutomat
     states = tuple(sorted(prefixes, key=word_key))
     state_id = {p: i for i, p in enumerate(states)}
 
-    transitions = []
+    # States come shortest first, so the rows of a state's fallback and of
+    # its parent's fallback (whose row gives the fallback) are built already.
+    transitions: list[tuple[int, ...]] = []
+    fallback: list[int] = []
     for p in states:
+        fb = 0 if len(p) <= 1 else transitions[fallback[state_id[p[:-1]]]][p[-1]]
+        if fb == DEAD or p in obs_set:
+            raise ValueError(f"obstruction set is not an antichain: {p} is a proper prefix of "
+                             "one obstruction and contains another")
+        fallback.append(fb)
+        fb_row = transitions[fb] if p else (0,) * alphabet_size
         row = []
-        for letter in range(alphabet_size):
-            w = p + (letter,)
-            nxt = None
-            # Longest suffix of w that is an obstruction (dead) or a proper
-            # prefix of one; under the antichain hypothesis the first hit
-            # found when scanning from the longest suffix down is decisive.
-            for k in range(len(w) + 1):
-                s = w[k:]
-                if s in obs_set:
-                    nxt = DEAD
-                    break
-                hit = state_id.get(s)
-                if hit is not None:
-                    nxt = hit
-                    break
-            row.append(nxt if nxt is not None else 0)
+        for a in range(alphabet_size):
+            w = p + (a,)
+            if w not in obs_set:
+                row.append(state_id.get(w, fb_row[a]))
+            elif fb_row[a] == DEAD:
+                raise ValueError(f"obstruction set is not an antichain: {w} ends in another obstruction")
+            else:
+                row.append(DEAD)
         transitions.append(tuple(row))
     return AvoidanceAutomaton(
         alphabet_size=alphabet_size,
@@ -100,10 +104,15 @@ def build_automaton(obs: Iterable[Word], alphabet_size: int) -> AvoidanceAutomat
     )
 
 
-def hilbert_prefix(aut: AvoidanceAutomaton, max_degree: int) -> list[int]:
-    """Entry N counts the normal words of length N (entry 0 is always 1)."""
+def check_max_degree(max_degree: int) -> None:
+    """Raise ValueError for a negative `hilbert_prefix` degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+
+
+def hilbert_prefix(aut: AvoidanceAutomaton, max_degree: int) -> list[int]:
+    """Entry N counts the normal words of length N (entry 0 is always 1)."""
+    check_max_degree(max_degree)
     counts = [0] * len(aut.states)
     counts[aut.start] = 1
     out = [1]

@@ -17,7 +17,7 @@ from itertools import accumulate
 from pathlib import Path
 
 # build_automaton, buchberger, build_presentation: not called here, but tracing tools wrap these names.
-from .automaton import build_automaton, hilbert_prefix  # noqa: F401
+from .automaton import build_automaton, check_max_degree, hilbert_prefix  # noqa: F401
 from .graphs import enumerate_graphs, parse_graph
 from .groebner import buchberger  # noqa: F401
 from .growth import find_free_pair_violation, free_pair_window_bound, search_free_pair
@@ -97,6 +97,7 @@ def _cmd_hilbert(args) -> int:
     g = parse_graph(args.graph)
     if args.max_degree > args.cap:
         raise SystemExit(_usage_error(f"max degree {args.max_degree} exceeds the cap {args.cap}"))
+    check_max_degree(args.max_degree)
     run = run_engine(g, args.t, args.degree_bound)
     complete = run.groebner.complete
     prefix = hilbert_prefix(run.automaton, args.max_degree)

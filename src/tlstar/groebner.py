@@ -144,7 +144,7 @@ class _LeadTable:
 
 
 class _WordRule:
-    """``lead -> coeff * word`` (rhs = (coeff, word)) or ``lead -> 0`` (rhs None)."""
+    """``lead -> coeff * word`` (rhs = (coeff, word), coeff None for 1) or ``lead -> 0`` (rhs None)."""
 
     __slots__ = ("lead", "rhs")
 
@@ -174,6 +174,8 @@ class Rewriter:
                 raise ValueError(f"basis element {p.format()} is not a binomial")
             lead = terms[0][0]
             rhs = None if len(terms) == 1 else (-terms[1][1], terms[1][0])
+            if rhs is not None and rhs[0] == 1:
+                rhs = (None, rhs[1])  # idempotent and commutation rules: nothing to multiply by
             self.index.add(_WordRule(lead, rhs))
 
     def _normal(self, c, w: Word) -> Optional[tuple]:
@@ -187,7 +189,8 @@ class Rewriter:
             if rule.rhs is None:
                 return None
             coeff, r = rule.rhs
-            c = c * coeff
+            if coeff is not None:
+                c = c * coeff
             w = w[:pos] + r + w[pos + len(rule.lead):]
 
     def reduce(self, p: NcPolynomial) -> NcPolynomial:
@@ -458,6 +461,21 @@ def _tagged(pres: Presentation, one) -> list[tuple]:
     return elements
 
 
+def check_degree_bound(pres: Presentation, degree_bound: Optional[int] = None) -> int:
+    """The completion degree bound for pres: the given one, or 2n + 8 when None.
+
+    Raises ValueError when the bound is below the largest relation degree.
+    """
+    if degree_bound is None:
+        degree_bound = 2 * pres.n + 8
+    max_rel_degree = max((len(r.leading_word()) for r in pres.relations if r), default=0)
+    if degree_bound < max_rel_degree:
+        raise ValueError(
+            f"degree bound {degree_bound} is smaller than the largest relation degree {max_rel_degree}"
+        )
+    return degree_bound
+
+
 def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> GroebnerResult:
     """Complete the presentation into a (possibly truncated) Groebner basis.
 
@@ -467,13 +485,7 @@ def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> Groebn
     Raises ValueError unless every relation is a monomial or a binomial
     whose coefficient ratio is +-1 or +-t.
     """
-    if degree_bound is None:
-        degree_bound = 2 * pres.n + 8
-    max_rel_degree = max((len(r.leading_word()) for r in pres.relations if r), default=0)
-    if degree_bound < max_rel_degree:
-        raise ValueError(
-            f"degree bound {degree_bound} is smaller than the largest relation degree {max_rel_degree}"
-        )
+    degree_bound = check_degree_bound(pres, degree_bound)
     t = pres.t
     one = t / t
     engine = _TaggedCompletion(_tagged(pres, one), degree_bound, pres.alphabet_size())

@@ -1,8 +1,11 @@
 """Growth classification of the normal-word language and freeness certificates.
 
-The live part of the avoidance automaton reachable from the start state
-determines the growth of the algebra: no cycles means finitely many normal
-words; cycles confined to disjoint simple loops give polynomial growth with
+The avoidance automaton determines the growth of the algebra.  Every state
+is a proper prefix of an obstruction, so the start state reaches it by
+spelling it, and over an antichain that prefix contains no obstruction, so
+the word it spells is normal: every state is live, and the graph is just
+the non-dead transitions.  No cycles means finitely many normal words;
+cycles confined to disjoint simple loops give polynomial growth with
 degree equal to the largest number of loop components met along a path;
 any strongly connected component richer than a single simple cycle yields
 exponentially many words.  In the exponential case two distinct cycles
@@ -16,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .automaton import DEAD, AvoidanceAutomaton
+from .automaton import DEAD, AvoidanceAutomaton, hilbert_prefix
 from .ncpoly import Word, find_factor, word_key
 
 __all__ = [
@@ -69,27 +72,18 @@ class FreePairCertificate:
         return {"q1": list(self.q1), "q2": list(self.q2), "window_bound": self.window_bound}
 
 
-def _reachable_live_graph(aut: AvoidanceAutomaton) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
-    """States reachable from start and their outgoing (letter, target) edges."""
-    seen = {aut.start}
-    stack = [aut.start]
-    edges: dict[int, list[tuple[int, int]]] = {}
-    while stack:
-        s = stack.pop()
-        out = []
-        for letter, t in enumerate(aut.transitions[s]):
-            if t == DEAD:
-                continue
-            out.append((letter, t))
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-        edges[s] = out
-    return sorted(seen), edges
+Edges = list[list[tuple[int, int]]]  # edges[state] -> [(letter, target)], dead targets left out
 
 
-def _strongly_connected_components(nodes: list[int], edges: dict[int, list[tuple[int, int]]]) -> list[list[int]]:
-    """Iterative Tarjan; components in deterministic order of smallest node."""
+def _structure(aut: AvoidanceAutomaton) -> tuple[Edges, list[list[int]], list[tuple[bool, bool]]]:
+    """Edges, strongly connected components (sinks first) and their profiles."""
+    edges = [[(letter, t) for letter, t in enumerate(row) if t != DEAD] for row in aut.transitions]
+    comps = _strongly_connected_components(edges)
+    return edges, comps, [_component_profile(comp, edges) for comp in comps]
+
+
+def _strongly_connected_components(edges: Edges) -> list[list[int]]:
+    """Iterative Tarjan from state 0 up; every component comes after all it can reach."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -97,7 +91,7 @@ def _strongly_connected_components(nodes: list[int], edges: dict[int, list[tuple
     components: list[list[int]] = []
     counter = itertools.count()
 
-    for root in nodes:
+    for root in range(len(edges)):
         if root in index:
             continue
         work = [(root, iter(edges[root]))]
@@ -132,11 +126,10 @@ def _strongly_connected_components(nodes: list[int], edges: dict[int, list[tuple
                     if member == node:
                         break
                 components.append(sorted(comp))
-    components.sort(key=lambda c: c[0])
     return components
 
 
-def _component_profile(comp: list[int], edges: dict[int, list[tuple[int, int]]]):
+def _component_profile(comp: list[int], edges: Edges) -> tuple[bool, bool]:
     """(has_cycle, is_simple_cycle) for the subgraph induced on the component."""
     members = set(comp)
     internal_out = {s: sum(1 for _, t in edges[s] if t in members) for s in comp}
@@ -150,70 +143,29 @@ def _component_profile(comp: list[int], edges: dict[int, list[tuple[int, int]]])
 
 
 def classify_growth(aut: AvoidanceAutomaton, complete: bool = True) -> GrowthClass:
-    """Structural trichotomy from the live reachable part of the automaton.
+    """Structural trichotomy from the cycle structure of the automaton.
 
     With an incomplete obstruction set the normal-word language is only an
     upper approximation, so the verdict is tagged rather than authoritative.
     """
-    nodes, edges = _reachable_live_graph(aut)
-    comps = _strongly_connected_components(nodes, edges)
-    comp_of = {s: k for k, comp in enumerate(comps) for s in comp}
-    profiles = [_component_profile(comp, edges) for comp in comps]
+    edges, comps, profiles = _structure(aut)
 
     if any(has_cycle and not simple for has_cycle, simple in profiles):
         return GrowthClass(EXPONENTIAL, upper_bound_only=not complete)
 
     if not any(has_cycle for has_cycle, _ in profiles):
-        # Acyclic: count all paths from the start state, empty path included.
-        order = _topological_order(nodes, edges)
-        npaths = {s: 0 for s in nodes}
-        npaths[aut.start] = 1
-        for s in order:
-            c = npaths[s]
-            if not c:
-                continue
-            for _, t in edges[s]:
-                npaths[t] += c
-        return GrowthClass(FINITE, dimension=sum(npaths.values()), upper_bound_only=not complete)
+        # Acyclic: no path is as long as the state count, so this counts every normal word.
+        dimension = sum(hilbert_prefix(aut, len(aut.states)))
+        return GrowthClass(FINITE, dimension=dimension, upper_bound_only=not complete)
 
-    # Condensation DAG; gk degree = most cycle components on a path from start.
-    succ: dict[int, set[int]] = {k: set() for k in range(len(comps))}
-    for s in nodes:
-        for _, t in edges[s]:
-            a, b = comp_of[s], comp_of[t]
-            if a != b:
-                succ[a].add(b)
-    best: dict[int, int] = {}
-
-    def longest(k: int) -> int:
-        cached = best.get(k)
-        if cached is not None:
-            return cached
-        value = (1 if profiles[k][0] else 0) + max((longest(m) for m in succ[k]), default=0)
-        best[k] = value
-        return value
-
-    gk = longest(comp_of[aut.start])
-    return GrowthClass(POLYNOMIAL, gk_degree=gk, upper_bound_only=not complete)
-
-
-def _topological_order(nodes: list[int], edges: dict[int, list[tuple[int, int]]]) -> list[int]:
-    indeg = {s: 0 for s in nodes}
-    for s in nodes:
-        for _, t in edges[s]:
-            indeg[t] += 1
-    frontier = sorted(s for s in nodes if indeg[s] == 0)
-    order = []
-    while frontier:
-        s = frontier.pop(0)
-        order.append(s)
-        for _, t in edges[s]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                frontier.append(t)
-    if len(order) != len(nodes):
-        raise ValueError("graph has a cycle; topological order undefined")
-    return order
+    # gk degree = most cycle components on a path from start.  Components
+    # come after everything they reach, so each successor is already scored.
+    comp_of = {s: k for k, comp in enumerate(comps) for s in comp}
+    best: list[int] = []
+    for k, comp in enumerate(comps):
+        reached = (best[comp_of[t]] for s in comp for _, t in edges[s] if comp_of[t] != k)
+        best.append(profiles[k][0] + max(reached, default=0))
+    return GrowthClass(POLYNOMIAL, gk_degree=best[comp_of[aut.start]], upper_bound_only=not complete)
 
 
 def free_pair_window_bound(q1: Word, q2: Word, obs: frozenset[Word]) -> int:
@@ -266,10 +218,8 @@ def search_free_pair(aut: AvoidanceAutomaton, max_block_len: int) -> Optional[Fr
     """
     if max_block_len < 2:
         raise ValueError("max_block_len must be at least 2")
-    nodes, edges = _reachable_live_graph(aut)
-    comps = _strongly_connected_components(nodes, edges)
-    for comp in comps:
-        has_cycle, simple = _component_profile(comp, edges)
+    edges, comps, profiles = _structure(aut)
+    for comp, (has_cycle, simple) in sorted(zip(comps, profiles)):
         if not has_cycle or simple:
             continue
         members = set(comp)
@@ -292,7 +242,7 @@ def search_free_pair(aut: AvoidanceAutomaton, max_block_len: int) -> Optional[Fr
     return None
 
 
-def _shortest_path_label(src: int, dst: int, members: set[int], edges) -> Optional[Word]:
+def _shortest_path_label(src: int, dst: int, members: set[int], edges: Edges) -> Optional[Word]:
     """Lexicographically least shortest path label from src to dst inside members."""
     if src == dst:
         return ()

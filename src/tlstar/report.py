@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
-from .automaton import AvoidanceAutomaton, build_automaton, hilbert_prefix
+from .automaton import AvoidanceAutomaton, build_automaton, check_max_degree, hilbert_prefix
 from .classifier import TheoremVerdict, check_nu_conditions, classify_by_theorem
 from .graphs import (
     TwoColoredStar,
@@ -27,7 +27,7 @@ from .graphs import (
     enumerate_graphs,
     prune_isolated_leaves,
 )
-from .groebner import GroebnerResult, buchberger
+from .groebner import GroebnerResult, buchberger, check_degree_bound
 from .growth import FreePairCertificate, GrowthClass, classify_growth, search_free_pair
 from .presentation import Presentation, build_presentation, parameter_label
 
@@ -131,6 +131,10 @@ def analyze(
     if method not in ("both", "theorem", "groebner"):
         raise ValueError(f"unknown method {method!r}")
     t_label = parameter_label(t_mode)
+    check_max_degree(max_degree)
+    if method == "theorem":
+        # The engine checks the bound before completing; without it, check it here.
+        check_degree_bound(build_presentation(g, t_mode), degree_bound)
     t_total = time.perf_counter()
     pruned, removed = prune_isolated_leaves(g)
     verdict = classify_by_theorem(g)

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's automaton, completion and
 canonical-form machinery: normal words are enumerated by direct factor
-checks, quotient dimensions come from linear algebra over two-term relation
-instances (a weighted union-find, since every defining relation has at most
-two terms), isomorphism classes are rebuilt by raw permutation search, and
+checks, `reference_automaton` finds each transition by rescanning every
+suffix instead of the package's one Aho-Corasick pass, quotient dimensions
+come from linear algebra over two-term relation instances (a weighted
+union-find, since every defining relation has at most two terms),
+isomorphism classes are rebuilt by raw permutation search, and
 `reference_buchberger` completes relations with plain scalar polynomial
 arithmetic instead of the package's tagged binomial rules, and
 `reference_reduce` reduces whole polynomials under a choice of rewriting
@@ -50,6 +52,34 @@ def normal_words_up_to(obs, alphabet_size, max_len):
 
 def normal_word_counts(obs, alphabet_size, max_len):
     return [len(level) for level in normal_words_up_to(obs, alphabet_size, max_len)]
+
+
+def reference_automaton(obs, alphabet_size):
+    """(states, transitions) of the factor-avoidance automaton of an antichain.
+
+    States are the empty word and the proper prefixes of the obstructions in
+    (length, word) order.  Each (state, letter) pair rescans every suffix of
+    the extended word, longest first: the first that is an obstruction makes
+    the transition dead (-1), the first that is a state is the target.
+    """
+    obs = frozenset(tuple(w) for w in obs)
+    prefixes = {()} | {w[:k] for w in obs for k in range(1, len(w))}
+    states = tuple(sorted(prefixes, key=word_key))
+    state_id = {p: i for i, p in enumerate(states)}
+    transitions = []
+    for p in states:
+        row = []
+        for letter in range(alphabet_size):
+            w = p + (letter,)
+            for k in range(len(w) + 1):
+                if w[k:] in obs:
+                    row.append(-1)
+                    break
+                if w[k:] in state_id:
+                    row.append(state_id[w[k:]])
+                    break
+        transitions.append(tuple(row))
+    return states, tuple(transitions)
 
 
 def count_all_normal_words(obs, alphabet_size, hard_cap=400):

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import normal_word_counts
+from oracles import normal_word_counts, reference_automaton
 from tlstar.automaton import DEAD, build_automaton, hilbert_prefix, is_normal_word
 from tlstar.graphs import TwoColoredStar, enumerate_graphs
-from tlstar.groebner import buchberger, minimal_antichain
+from tlstar.groebner import buchberger, is_antichain, minimal_antichain
 from tlstar.presentation import build_presentation
 
 
@@ -36,6 +36,18 @@ class TestConstruction:
     def test_rejects_non_antichain(self):
         with pytest.raises(ValueError, match="antichain"):
             build_automaton({(1, 2), (0, 1, 2)}, 3)
+
+    @pytest.mark.parametrize("inner, outer, named", [
+        ((0, 1), (0, 1, 2), "(0, 1) is a proper prefix"),           # prefix
+        ((1, 2), (0, 1, 2), "(0, 1, 2) ends in another"),           # proper suffix
+        ((1,), (0, 1, 2), "(0, 1) is a proper prefix"),             # interior factor
+        ((1, 2), (0, 1, 2, 0), "(0, 1, 2) is a proper prefix"),     # interior factor
+        ((0, 0), (1, 0, 0, 1, 1), "(1, 0, 0) is a proper prefix"),  # interior factor
+    ])
+    def test_rejects_obstruction_inside_another(self, inner, outer, named):
+        with pytest.raises(ValueError, match="not an antichain") as err:
+            build_automaton({inner, outer, (2, 2)}, 3)
+        assert named in str(err.value)
 
     def test_rejects_empty_word(self):
         with pytest.raises(ValueError):
@@ -112,3 +124,35 @@ def test_acceptance_matches_direct_check(obs, word):
     antichain = minimal_antichain(obs)
     aut = build_automaton(antichain, 3)
     assert aut.accepts(word) == is_normal_word(word, antichain)
+
+
+class TestReferenceAutomaton:
+    """The one-pass construction against the suffix-rescanning oracle."""
+
+    def test_every_completion_up_to_five_leaves(self, engine):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                result, aut, _ = engine.full(g)
+                assert (aut.states, aut.transitions) == reference_automaton(result.obstructions, n + 1), str(g)
+
+    def test_empty_obstruction_set_keeps_the_start_state(self):
+        aut = build_automaton(set(), 2)
+        assert aut.states == ((),) and aut.transitions == ((0, 0),)
+
+
+@given(st.sets(obstruction_words, max_size=7))
+@settings(max_examples=150, deadline=None)
+def test_states_and_transitions_match_reference_on_antichains(obs):
+    antichain = minimal_antichain(obs)
+    aut = build_automaton(antichain, 3)
+    assert (aut.states, aut.transitions) == reference_automaton(antichain, 3)
+
+
+@given(st.sets(obstruction_words, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_raises_exactly_on_non_antichains(obs):
+    if is_antichain(obs):
+        build_automaton(obs, 3)
+    else:
+        with pytest.raises(ValueError, match="not an antichain"):
+            build_automaton(obs, 3)

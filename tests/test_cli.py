@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from tlstar import report
 from tlstar.cli import main
+
+FULLY_DASHED_K7 = "K(7; " + ",".join(f"{i}-{j}" for i in range(1, 8) for j in range(i + 1, 8)) + ")"
 
 
 def run_cli(*argv):
@@ -65,6 +68,28 @@ class TestClassify:
         code = run_cli("classify", "K(5; 1-2,2-3,4-5)", "--degree-bound", "4")
         out = capsys.readouterr().out
         assert code == 2 and "DISCREPANCIES" in out
+
+    @pytest.mark.parametrize("method", ["both", "groebner", "theorem"])
+    def test_bad_degree_bound_same_error_for_every_method(self, capsys, method):
+        assert run_cli("classify", "K(2; 1-2)", "--method", method, "--degree-bound", "-5") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: degree bound -5 is smaller than the largest relation degree 3\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", FULLY_DASHED_K7, "--t", "1/2", "--max-degree", "-1"],
+        ["classify", FULLY_DASHED_K7, "--method", "theorem", "--max-degree", "-1"],
+        ["hilbert", FULLY_DASHED_K7, "-1"],
+    ])
+    def test_negative_max_degree_rejected_before_engine(self, capsys, monkeypatch, argv):
+        def no_completion(*args, **kwargs):
+            raise AssertionError("completion ran before max_degree was checked")
+
+        monkeypatch.setattr(report, "buchberger", no_completion)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: max_degree must be nonnegative\n"
+        assert captured.out == ""
 
     def test_json_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -96,6 +96,16 @@ class TestSyntheticGrowthDegrees:
         aut = build_automaton(set(), 2)
         assert classify_growth(aut).coarse == "exponential"
 
+    def test_long_single_obstruction_is_finite(self):
+        # One state per proper prefix of 0^1500; far deeper than Python's recursion limit.
+        growth = classify_growth(build_automaton({(0,) * 1500}, 1))
+        assert growth.coarse == "finite" and growth.dimension == 1500
+
+    def test_long_acyclic_chain_before_a_loop_is_polynomial(self):
+        # Avoiding {10, 0^1500} leaves 0^a 1^b with a < 1500: over 1500 components on one path.
+        growth = classify_growth(build_automaton({(1, 0), (0,) * 1500}, 2))
+        assert growth.coarse == "polynomial" and growth.gk_degree == 1
+
     def test_single_letter_loop_is_polynomial_degree_one(self):
         aut = build_automaton(set(), 1)
         growth = classify_growth(aut)
@@ -145,6 +155,12 @@ class TestSearchFreePair:
         assert cert.q1 != cert.q2
         assert cert.q1 + cert.q2 != cert.q2 + cert.q1
         assert verify_free_pair(cert.q1, cert.q2, res.obstructions)
+
+    def test_components_searched_from_the_smallest_state(self):
+        # Two exponential components here; the one holding state 0 gives the certificate.
+        aut = build_automaton({(1, 1, 0, 0), (1, 0, 1, 0)}, 2)
+        cert = search_free_pair(aut, 12)
+        assert (cert.q1, cert.q2) == ((0,), (1, 0, 0))
 
     def test_linear_growth_has_none(self):
         _, aut, growth = engine_parts(parse_graph("K(4; 1-2,3-4)"))
