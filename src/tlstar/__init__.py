@@ -9,13 +9,15 @@ cross-validates the result against a purely graph-theoretic classification
 of the same trichotomy.
 
 Every defining relation is a binomial with coefficient ratio in {+-1, +-t},
-so completion runs on exact (sign, t-exponent) tags instead of scalars;
-Q(t) or Q scalars appear only at the edge, in `buchberger`'s input and
-output and in `Rewriter`/`reduce`.  `run_engine` is the one pipeline from
-a graph to its growth.  All results stay exact.
+so the presentation is a list of (sign, t-exponent) tagged rules read off
+the graph, and completion runs on those tags instead of scalars.  Q(t) or
+Q scalars appear only in rendering, when `Presentation.relations` or
+`GroebnerResult.basis` is first read, and in `Rewriter`/`reduce`.
+`run_engine` is the one pipeline from a graph to its growth.  All results
+stay exact.
 """
 
-from .automaton import AvoidanceAutomaton, build_automaton, hilbert_prefix, is_normal_word
+from .automaton import AvoidanceAutomaton, build_automaton, hilbert_prefix
 from .classifier import (
     MINIMAL_EXPONENTIAL_GRAPHS,
     TheoremVerdict,
@@ -36,15 +38,7 @@ from .graphs import (
     parse_graph,
     prune_isolated_leaves,
 )
-from .groebner import (
-    GroebnerResult,
-    Rewriter,
-    buchberger,
-    is_antichain,
-    minimal_antichain,
-    obstructions,
-    reduce,
-)
+from .groebner import GroebnerResult, Rewriter, buchberger, reduce
 from .growth import (
     FreePairCertificate,
     GrowthClass,
@@ -97,11 +91,7 @@ __all__ = [
     "find_free_pair_violation",
     "format_word",
     "hilbert_prefix",
-    "is_antichain",
     "is_isomorphic",
-    "is_normal_word",
-    "minimal_antichain",
-    "obstructions",
     "parse_graph",
     "parse_word",
     "prune_isolated_leaves",

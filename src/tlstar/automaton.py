@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ncpoly import Word, word_contains, word_key
+from .ncpoly import Word, word_key
 
-__all__ = ["AvoidanceAutomaton", "build_automaton", "hilbert_prefix", "is_normal_word"]
+__all__ = ["AvoidanceAutomaton", "build_automaton", "hilbert_prefix"]
 
 DEAD = -1
 
@@ -48,11 +48,6 @@ class AvoidanceAutomaton:
 
     def live_state_count(self) -> int:
         return len(self.states)
-
-
-def is_normal_word(word: Word, obs: Iterable[Word]) -> bool:
-    """Direct factor check, independent of any automaton construction."""
-    return not any(word_contains(word, o) for o in obs)
 
 
 def build_automaton(obs: Iterable[Word], alphabet_size: int) -> AvoidanceAutomaton:

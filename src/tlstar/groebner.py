@@ -10,14 +10,15 @@ one).
 Every defining relation is a binomial whose two coefficients differ by a
 factor in {+-1, +-t}, and reducing a binomial by binomials gives a binomial
 again.  Completion therefore runs on tagged rules ``lead -> sign * t**exp *
-word`` or ``lead -> 0``.  A (sign, exp) tag is an exact coefficient: since
-0 < t < 1, t**a == t**b only when a == b, so two tagged terms on the same
-word cancel exactly when their tags are equal and opposite.  The core does
-no scalar arithmetic at all; Q(t) or Q scalars appear only at the edge,
-where `buchberger` reads the relations and writes the monic basis.
-`Rewriter` reduces arbitrary polynomials modulo any binomial basis the
-same way, one word at a time, carrying a scalar coefficient instead of a
-tag.  Results stay exact.
+word`` or ``lead -> 0``, seeded with the presentation's rules as they come
+from the graph.  A (sign, exp) tag is an exact coefficient: since 0 < t < 1,
+t**a == t**b only when a == b, so two tagged terms on the same word cancel
+exactly when their tags are equal and opposite.  Completion does no scalar
+arithmetic at all; the result keeps the finished rules, and
+`GroebnerResult.basis` renders them as monic Q(t) or Q polynomials on first
+read.  `Rewriter` reduces arbitrary polynomials modulo any binomial basis
+the same way, one word at a time, carrying a scalar coefficient instead of
+a tag: that is where scalars enter.  Results stay exact.
 
 If no overlap ever exceeds the bound the finished basis is a full Groebner
 basis and the result is marked complete; otherwise it is only a truncation
@@ -29,66 +30,40 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .ncpoly import NcPolynomial, Word, word_contains, word_key
-from .presentation import Presentation
+from .ncpoly import NcPolynomial, Word, word_key
+from .presentation import Presentation, Rule, render_rules
 
-__all__ = [
-    "GroebnerResult",
-    "Rewriter",
-    "reduce",
-    "buchberger",
-    "obstructions",
-    "minimal_antichain",
-    "is_antichain",
-]
-
-
-def minimal_antichain(words: Iterable[Word]) -> frozenset[Word]:
-    """Drop every word that contains another of the given words as a factor."""
-    ordered = sorted(set(words), key=word_key)
-    kept: list[Word] = []
-    for w in ordered:
-        if not any(word_contains(w, u) for u in kept):
-            kept.append(w)
-    return frozenset(kept)
-
-
-def is_antichain(words: Iterable[Word]) -> bool:
-    ws = list(words)
-    return all(
-        not word_contains(a, b)
-        for i, a in enumerate(ws)
-        for j, b in enumerate(ws)
-        if i != j
-    )
+__all__ = ["GroebnerResult", "Rewriter", "reduce", "buchberger"]
 
 
 @dataclass(frozen=True)
 class GroebnerResult:
-    """Finished (or degree-truncated) basis together with its leading words."""
+    """Finished (or degree-truncated) rules together with their leading words."""
 
-    basis: tuple[NcPolynomial, ...]
+    rules: tuple[Rule, ...]  # live rules in degree-lex order of their leads
+    t: object  # the presentation's parameter, for rendering the basis
     obstructions: frozenset[Word]
     complete: bool
     degree_bound: int
 
+    @cached_property
+    def basis(self) -> tuple[NcPolynomial, ...]:
+        """The rules as monic polynomials over t's domain."""
+        return render_rules(self.rules, self.t)
+
     def basis_size(self) -> int:
-        return len(self.basis)
+        return len(self.rules)
 
     def to_json_dict(self) -> dict:
         return {
             "degree_bound": self.degree_bound,
             "complete": self.complete,
-            "basis_size": len(self.basis),
+            "basis_size": len(self.rules),
             "obstructions": [list(w) for w in sorted(self.obstructions, key=word_key)],
         }
-
-
-def obstructions(result: GroebnerResult) -> frozenset[Word]:
-    """Minimal antichain of leading words of the basis."""
-    return minimal_antichain(p.leading_word() for p in result.basis)
 
 
 class _LeadTable:
@@ -213,6 +188,14 @@ def reduce(p: NcPolynomial, basis: Sequence[NcPolynomial]) -> NcPolynomial:
 # element is a tuple of one or two tagged terms whose sum is an ideal member.
 
 
+def _element(lead: Word, rhs: Optional[tuple]) -> tuple:
+    """The rule lead -> rhs as an ideal member lead - rhs."""
+    if rhs is None:
+        return ((1, 0, lead),)
+    sign, exp, word = rhs
+    return ((1, 0, lead), (-sign, exp, word))
+
+
 class _Rule:
     """``lead -> sign * t**exp * word`` (rhs = (sign, exp, word)) or ``lead -> 0``."""
 
@@ -223,13 +206,6 @@ class _Rule:
         self.lead = lead
         self.rhs = rhs
         self.alive = True
-
-    def element(self) -> tuple:
-        """The rule as an ideal member lead - rhs."""
-        if self.rhs is None:
-            return ((1, 0, self.lead),)
-        sign, exp, word = self.rhs
-        return ((1, 0, self.lead), (-sign, exp, word))
 
 
 # Completion reduces the same words again and again between rule changes,
@@ -390,7 +366,7 @@ class _TaggedCompletion:
         for r in doomed:
             r.alive = False
             self._unregister(r)
-            self.pending.append(r.element())
+            self.pending.append(_element(r.lead, r.rhs))
 
         rule = _Rule(self.next_id, lead, rhs)
         self.next_id += 1
@@ -435,32 +411,6 @@ class _TaggedCompletion:
         return alive, not truncated
 
 
-def _tagged(pres: Presentation, one) -> list[tuple]:
-    """Relations as tagged elements; only binomials with ratio +-1 or +-t."""
-    t = pres.t
-    ratios = ((1, 0, one), (-1, 0, -one), (1, 1, t), (-1, 1, -t))
-    elements = []
-    for rel in pres.relations:
-        if not rel:
-            continue
-        terms = rel.sorted_terms()
-        if len(terms) == 1:
-            elements.append(((1, 0, terms[0][0]),))
-            continue
-        if len(terms) > 2:
-            raise ValueError(f"relation {rel.format()} = 0 is not a binomial")
-        (lead, c1), (tail, c2) = terms
-        # c1 * lead + c2 * tail = 0, so lead = (-c2 / c1) * tail.
-        ratio = -c2 if c1 == 1 else -c2 / c1
-        for sign, exp, value in ratios:
-            if ratio == value:
-                elements.append(((1, 0, lead), (-sign, exp, tail)))
-                break
-        else:
-            raise ValueError(f"relation {rel.format()} = 0 has a coefficient ratio other than +-1, +-t")
-    return elements
-
-
 def check_degree_bound(pres: Presentation, degree_bound: Optional[int] = None) -> int:
     """The completion degree bound for pres: the given one, or 2n + 8 when None.
 
@@ -468,7 +418,7 @@ def check_degree_bound(pres: Presentation, degree_bound: Optional[int] = None) -
     """
     if degree_bound is None:
         degree_bound = 2 * pres.n + 8
-    max_rel_degree = max((len(r.leading_word()) for r in pres.relations if r), default=0)
+    max_rel_degree = max((len(lead) for lead, _ in pres.rules), default=0)
     if degree_bound < max_rel_degree:
         raise ValueError(
             f"degree bound {degree_bound} is smaller than the largest relation degree {max_rel_degree}"
@@ -482,20 +432,14 @@ def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> Groebn
     The default bound 2n + 8 leaves ample room for every overlap between
     leading words of length up to n + 2, which is where all observed bases
     in this family live, so completions normally certify completeness.
-    Raises ValueError unless every relation is a monomial or a binomial
-    whose coefficient ratio is +-1 or +-t.
     """
     degree_bound = check_degree_bound(pres, degree_bound)
-    t = pres.t
-    one = t / t
-    engine = _TaggedCompletion(_tagged(pres, one), degree_bound, pres.alphabet_size())
-    alive, complete = engine.run()
-    basis = []
-    for r in alive:
-        if r.rhs is None:
-            basis.append(NcPolynomial({r.lead: one}))
-            continue
-        sign, exp, word = r.rhs
-        basis.append(NcPolynomial({r.lead: one, word: -sign * t ** exp}))
-    obs = frozenset(r.lead for r in alive)
-    return GroebnerResult(basis=tuple(basis), obstructions=obs, complete=complete, degree_bound=degree_bound)
+    elements = [_element(lead, rhs) for lead, rhs in pres.rules]
+    alive, complete = _TaggedCompletion(elements, degree_bound, pres.alphabet_size()).run()
+    return GroebnerResult(
+        rules=tuple((r.lead, r.rhs) for r in alive),
+        t=pres.t,
+        obstructions=frozenset(r.lead for r in alive),
+        complete=complete,
+        degree_bound=degree_bound,
+    )

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .automaton import DEAD, AvoidanceAutomaton, hilbert_prefix
+from .automaton import DEAD, AvoidanceAutomaton
 from .ncpoly import Word, find_factor, word_key
 
 __all__ = [
@@ -154,9 +154,12 @@ def classify_growth(aut: AvoidanceAutomaton, complete: bool = True) -> GrowthCla
         return GrowthClass(EXPONENTIAL, upper_bound_only=not complete)
 
     if not any(has_cycle for has_cycle, _ in profiles):
-        # Acyclic: no path is as long as the state count, so this counts every normal word.
-        dimension = sum(hilbert_prefix(aut, len(aut.states)))
-        return GrowthClass(FINITE, dimension=dimension, upper_bound_only=not complete)
+        # Acyclic, so every component is one state and comes after all it
+        # reaches: count the words spelt from each state, its successors first.
+        words = [0] * len(edges)
+        for (s,) in comps:
+            words[s] = 1 + sum(words[t] for _, t in edges[s])
+        return GrowthClass(FINITE, dimension=words[aut.start], upper_bound_only=not complete)
 
     # gk degree = most cycle components on a path from start.  Components
     # come after everything they reach, so each successor is already scored.

@@ -15,7 +15,6 @@ __all__ = [
     "Word",
     "word_key",
     "compare_words",
-    "word_contains",
     "find_factor",
     "format_word",
     "parse_word",
@@ -50,10 +49,6 @@ def find_factor(w: Word, factor: Word) -> int:
         if w[pos] == first and w[pos:pos + lf] == factor:
             return pos
     return -1
-
-
-def word_contains(w: Word, factor: Word) -> bool:
-    return find_factor(w, factor) >= 0
 
 
 def format_word(w: Word) -> str:

@@ -4,30 +4,59 @@ Generators are idempotents p_0..p_n.  The center p_0 is linked to every
 leaf projection by p_i p_0 p_i = t p_i and p_0 p_i p_0 = t p_0, where t is
 the square of the deformation parameter.  Dashed leaf pairs commute; all
 other leaf pairs multiply to zero in both orders.
+
+Every relation is a rewriting rule read straight off the graph: ``lead ->
+sign * t**exp * word`` or ``lead -> 0``.  The rules do not depend on the
+value of t, so they are the same in every scalar domain; `render_rules`
+turns rules into polynomials over Q(t) or Q, and `Presentation.relations`
+does so on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .graphs import TwoColoredStar
-from .ncpoly import NcPolynomial
+from .ncpoly import NcPolynomial, Word
 from .scalars import RationalFunction
 
 __all__ = ["Presentation", "build_presentation", "parameter_label"]
 
 SYMBOLIC = "symbolic"
 
+# (lead, rhs): rhs (sign, exp, word) for lead -> sign * t**exp * word, None for lead -> 0.
+Rule = tuple[Word, Optional[tuple[int, int, Word]]]
+
+
+def render_rules(rules: Iterable[Rule], t) -> tuple[NcPolynomial, ...]:
+    """Monic polynomials lead - sign * t**exp * word (or lead) in t's scalar domain."""
+    one = t / t  # unit of the active scalar domain; t is never zero here
+    out = []
+    for lead, rhs in rules:
+        if rhs is None:
+            out.append(NcPolynomial({lead: one}))
+        else:
+            sign, exp, word = rhs
+            out.append(NcPolynomial({lead: one, word: -sign * t ** exp}))
+    return tuple(out)
+
 
 @dataclass(frozen=True)
 class Presentation:
-    """Relations of the algebra, leading term first, over a fixed scalar domain."""
+    """Relations of the algebra as rules, with the scalar domain they are read in."""
 
     n: int
-    relations: tuple[NcPolynomial, ...]
+    rules: tuple[Rule, ...]
     t: object  # RationalFunction in symbolic mode, Fraction otherwise
     mode: str  # "symbolic" or "t=<p/q>"
+
+    @cached_property
+    def relations(self) -> tuple[NcPolynomial, ...]:
+        """The rules as polynomials over t's domain, leading term first."""
+        return render_rules(self.rules, self.t)
 
     @property
     def symbolic(self) -> bool:
@@ -68,21 +97,16 @@ def build_presentation(g: TwoColoredStar, mode=SYMBOLIC) -> Presentation:
     count is (n+1) + 2n + #dashed + 2*(#pairs - #dashed).
     """
     t, mode_label = _parameter(mode)
-    one = t / t  # unit of the active scalar domain; t is never zero here
     n = g.n
-    rels: list[NcPolynomial] = []
-    for k in range(n + 1):
-        rels.append(NcPolynomial({(k, k): one, (k,): -one}))
-    for i in range(1, n + 1):
-        rels.append(NcPolynomial({(i, 0, i): one, (i,): -t}))
-    for i in range(1, n + 1):
-        rels.append(NcPolynomial({(0, i, 0): one, (0,): -t}))
-    for i in range(1, n + 1):
+    leaves = range(1, n + 1)
+    rules: list[Rule] = [((k, k), (1, 0, (k,))) for k in range(n + 1)]
+    rules += [((i, 0, i), (1, 1, (i,))) for i in leaves]
+    rules += [((0, i, 0), (1, 1, (0,))) for i in leaves]
+    for i in leaves:
         for j in range(i + 1, n + 1):
             if g.is_dashed(i, j):
                 # Oriented so the larger-index-first word leads.
-                rels.append(NcPolynomial({(j, i): one, (i, j): -one}))
+                rules.append(((j, i), (1, 0, (i, j))))
             else:
-                rels.append(NcPolynomial({(i, j): one}))
-                rels.append(NcPolynomial({(j, i): one}))
-    return Presentation(n=n, relations=tuple(rels), t=t, mode=mode_label)
+                rules += [((i, j), None), ((j, i), None)]
+    return Presentation(n=n, rules=tuple(rules), t=t, mode=mode_label)

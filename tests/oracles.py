@@ -1,12 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the package's automaton, completion and
-canonical-form machinery: normal words are enumerated by direct factor
-checks, `reference_automaton` finds each transition by rescanning every
-suffix instead of the package's one Aho-Corasick pass, quotient dimensions
-come from linear algebra over two-term relation instances (a weighted
-union-find, since every defining relation has at most two terms),
-isomorphism classes are rebuilt by raw permutation search, and
+canonical-form machinery: normal words are enumerated, and antichains and
+normal words checked (`minimal_antichain`, `is_antichain`,
+`is_normal_word`), by direct factor checks, `reference_automaton` finds
+each transition by rescanning every suffix instead of the package's one
+Aho-Corasick pass, quotient dimensions come from linear algebra over
+two-term relation instances (a weighted union-find, since every defining
+relation has at most two terms), isomorphism classes are rebuilt by raw
+permutation search, and
 `reference_buchberger` completes relations with plain scalar polynomial
 arithmetic instead of the package's tagged binomial rules, and
 `reference_reduce` reduces whole polynomials under a choice of rewriting
@@ -18,17 +20,36 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 from tlstar.graphs import TwoColoredStar
-from tlstar.groebner import GroebnerResult
-from tlstar.ncpoly import NcPolynomial, word_contains, word_key
+from tlstar.ncpoly import NcPolynomial, word_key
 from tlstar.presentation import Presentation, build_presentation
 
 
 def has_factor(word, factor):
     lf = len(factor)
     return any(word[i:i + lf] == factor for i in range(len(word) - lf + 1))
+
+
+def is_normal_word(word, obs):
+    """Direct factor check, independent of any automaton construction."""
+    return not any(has_factor(word, o) for o in obs)
+
+
+def minimal_antichain(words):
+    """Drop every word that contains another of the given words as a factor."""
+    kept = []
+    for w in sorted(set(words), key=word_key):
+        if not any(has_factor(w, u) for u in kept):
+            kept.append(w)
+    return frozenset(kept)
+
+
+def is_antichain(words):
+    ws = list(words)
+    return all(not has_factor(a, b) for i, a in enumerate(ws) for j, b in enumerate(ws) if i != j)
 
 
 def normal_words_up_to(obs, alphabet_size, max_len):
@@ -381,7 +402,7 @@ class _RefCompletion:
         lc = terms[lead]
         terms = {w: c / lc for w, c in terms.items()}
         for e in self._alive():
-            if word_contains(e.lead, lead):
+            if has_factor(e.lead, lead):
                 e.alive = False
                 self.index.remove(e)
                 self.pending.append(e.terms)
@@ -436,12 +457,20 @@ class _RefCompletion:
         return alive, not truncated
 
 
-def reference_buchberger(pres: Presentation, degree_bound=None) -> GroebnerResult:
+@dataclass(frozen=True)
+class ReferenceResult:
+    basis: tuple
+    obstructions: frozenset
+    complete: bool
+    degree_bound: int
+
+
+def reference_buchberger(pres: Presentation, degree_bound=None) -> ReferenceResult:
     """Completion with scalar Q(t)/Q arithmetic on whole polynomials."""
     if degree_bound is None:
         degree_bound = 2 * pres.n + 8
     alive, complete = _RefCompletion(pres.relations, degree_bound).run()
-    return GroebnerResult(
+    return ReferenceResult(
         basis=tuple(NcPolynomial(e.terms) for e in alive),
         obstructions=frozenset(e.lead for e in alive),
         complete=complete,

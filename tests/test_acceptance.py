@@ -14,9 +14,9 @@ import sys
 
 import pytest
 
-from oracles import count_all_normal_words, normal_word_counts, reference_reduce
+from oracles import count_all_normal_words, is_normal_word, normal_word_counts, reference_reduce
 from test_groebner import random_polynomial, random_scalar
-from tlstar.automaton import build_automaton, hilbert_prefix, is_normal_word
+from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.classifier import MINIMAL_EXPONENTIAL_GRAPHS, classify_by_theorem
 from tlstar.graphs import (
     TwoColoredStar,

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import normal_word_counts, reference_automaton
-from tlstar.automaton import DEAD, build_automaton, hilbert_prefix, is_normal_word
+from oracles import is_antichain, is_normal_word, minimal_antichain, normal_word_counts, reference_automaton
+from tlstar.automaton import DEAD, build_automaton, hilbert_prefix
 from tlstar.graphs import TwoColoredStar, enumerate_graphs
-from tlstar.groebner import buchberger, is_antichain, minimal_antichain
+from tlstar.groebner import buchberger
 from tlstar.presentation import build_presentation
 
 

@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import quotient_dimensions, reference_buchberger, reference_reduce
-from tlstar.automaton import build_automaton, hilbert_prefix
-from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
-from tlstar.groebner import (
-    Rewriter,
-    buchberger,
+from oracles import (
     is_antichain,
     minimal_antichain,
-    obstructions,
-    reduce,
+    quotient_dimensions,
+    reference_buchberger,
+    reference_reduce,
 )
+from tlstar.automaton import build_automaton, hilbert_prefix
+from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
+from tlstar.groebner import Rewriter, buchberger, reduce
 from tlstar.ncpoly import NcPolynomial
 from tlstar.presentation import Presentation, build_presentation
 from tlstar.scalars import Polynomial, RationalFunction, T
@@ -123,14 +122,10 @@ class TestBuchberger:
 class TestObstructions:
     def test_plain_leads(self):
         res = buchberger(build_presentation(parse_graph("K(1;)")))
-        assert obstructions(res) == res.obstructions
+        assert minimal_antichain(p.leading_word() for p in res.basis) == res.obstructions
 
     def test_factor_absorbed(self):
         assert minimal_antichain([(1, 2), (1, 2, 0)]) == {(1, 2)}
-
-    def test_antichain_of_completion(self):
-        res = buchberger(build_presentation(parse_graph("K(2; 1-2)")))
-        assert is_antichain(obstructions(res))
 
 
 class TestQuotientDimensionOracle:
@@ -258,29 +253,22 @@ class TestReferenceCompletion:
         # overlap words can no longer be held as bytes.
         pres = build_presentation(parse_graph("K(4; 1-2,2-3,3-4,1-4)"), mode)
         shift = {0: 0, **{k: k + 296 for k in range(1, 5)}}
-        rels = tuple(nc({tuple(shift[a] for a in w): c for w, c in rel.terms.items()})
-                     for rel in pres.relations)
-        big = Presentation(n=300, relations=rels, t=pres.t, mode=pres.mode)
+
+        def lift(w):
+            return tuple(shift[a] for a in w)
+
+        rules = tuple((lift(lead), None if rhs is None else (rhs[0], rhs[1], lift(rhs[2])))
+                      for lead, rhs in pres.rules)
+        big = Presentation(n=300, rules=rules, t=pres.t, mode=pres.mode)
         res = buchberger(big)
         _same_completion(res, reference_buchberger(big))
-        assert res.obstructions == {tuple(shift[a] for a in w) for w in buchberger(pres).obstructions}
+        assert res.obstructions == {lift(w) for w in buchberger(pres).obstructions}
 
     def test_tag_mismatch_makes_zero_rule(self):
         # p1 p1 = t p1 and p1 p1 = p1 give (1 - t) p1 = 0, hence p1 = 0.
-        rels = (nc({(1, 1): ONE, (1,): -T}), nc({(1, 1): ONE, (1,): -ONE}))
-        pres = Presentation(n=1, relations=rels, t=T, mode="symbolic")
+        rules = (((1, 1), (1, 1, (1,))), ((1, 1), (1, 0, (1,))))
+        pres = Presentation(n=1, rules=rules, t=T, mode="symbolic")
+        assert pres.relations == (nc({(1, 1): ONE, (1,): -T}), nc({(1, 1): ONE, (1,): -ONE}))
         res = buchberger(pres)
         _same_completion(res, reference_buchberger(pres))
         assert res.obstructions == {(1,)} and res.complete
-
-    def test_three_term_relation_rejected(self):
-        pres = Presentation(n=1, relations=(nc({(1, 1): ONE, (1,): -ONE, (0,): ONE}),), t=T, mode="symbolic")
-        with pytest.raises(ValueError):
-            buchberger(pres)
-
-    def test_coefficient_two_rejected(self):
-        half = Fraction(1, 2)
-        pres = Presentation(n=1, relations=(nc({(1, 1): Fraction(1), (1,): Fraction(-2)}),),
-                            t=half, mode="t=1/2")
-        with pytest.raises(ValueError):
-            buchberger(pres)

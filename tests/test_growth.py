@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import count_all_normal_words
+from oracles import count_all_normal_words, minimal_antichain, normal_word_counts
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.graphs import (
     TwoColoredStar,
@@ -100,6 +101,18 @@ class TestSyntheticGrowthDegrees:
         # One state per proper prefix of 0^1500; far deeper than Python's recursion limit.
         growth = classify_growth(build_automaton({(0,) * 1500}, 1))
         assert growth.coarse == "finite" and growth.dimension == 1500
+
+    @given(
+        st.sets(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple), max_size=6),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_finite_dimension_counts_every_normal_word(self, words, length):
+        # Every word of this length is or contains an obstruction, so all normal words are shorter.
+        obs = minimal_antichain(words | set(itertools.product(range(3), repeat=length)))
+        growth = classify_growth(build_automaton(obs, 3))
+        assert growth.coarse == "finite"
+        assert growth.dimension == sum(normal_word_counts(obs, 3, length))
 
     def test_long_acyclic_chain_before_a_loop_is_polynomial(self):
         # Avoiding {10, 0^1500} leaves 0^a 1^b with a < 1500: over 1500 components on one path.

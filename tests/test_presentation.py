@@ -76,6 +76,13 @@ class TestRelationContent:
 
 
 class TestParameterModes:
+    @pytest.mark.parametrize("text", ["K(1;)", "K(3; 1-2)", "K(5; 1-2,2-3,4-5)"])
+    def test_rules_do_not_depend_on_t(self, text):
+        g = parse_graph(text)
+        rules = build_presentation(g).rules
+        assert build_presentation(g, "1/2").rules == rules
+        assert build_presentation(g, "1/3").rules == rules
+
     def test_symbolic_default(self):
         pres = build_presentation(parse_graph("K(1;)"))
         assert pres.symbolic and pres.t == RationalFunction.t()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tlstar import groebner, presentation
 from tlstar.automaton import build_automaton
 from tlstar.graphs import parse_graph
 from tlstar.groebner import buchberger
@@ -29,6 +30,33 @@ class TestRunEngine:
         assert "automaton" not in vars(run) and "growth" not in vars(run)
         assert run.growth.coarse == "polynomial"
         assert "automaton" in vars(run)
+
+
+class TestNoRendering:
+    """The engine path never turns rules into scalar polynomials."""
+
+    @pytest.fixture
+    def no_rendering(self, monkeypatch):
+        def fail(rules, t):
+            raise AssertionError("rules rendered as polynomials")
+
+        for module in (presentation, groebner):
+            monkeypatch.setattr(module, "render_rules", fail)
+        g = parse_graph("K(1;)")
+        with pytest.raises(AssertionError):
+            build_presentation(g).relations
+        with pytest.raises(AssertionError):
+            run_engine(g).groebner.basis
+
+    def test_sweep(self, no_rendering):
+        sweep = cross_validate(4)
+        assert sweep.all_agree and sweep.all_complete
+
+    @pytest.mark.parametrize("t_mode", ["symbolic", "1/2"])
+    def test_analyze(self, no_rendering, t_mode):
+        r = analyze(parse_graph("K(5; 1-2,2-3,4-5)"), t_mode=t_mode)
+        assert r.growth.coarse == "exponential" and r.free_pair is not None
+        assert not r.discrepancy
 
 
 class TestAnalyze:
