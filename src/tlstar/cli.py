@@ -3,7 +3,8 @@
 Subcommands: classify, hilbert, gb, crossvalidate, witness, enumerate.
 Exit codes: 0 success/agreement, 1 usage or parse error, 2 mathematical
 discrepancy (engine vs structural classifier mismatch, violated component
-conditions, truncated completion in a sweep, or a failed witness check).
+conditions, truncated completion in a sweep, a failed witness check, or an
+exponential-branch graph in which the theorem finds no witness).
 JSON output is schema-stable and byte-deterministic for fixed inputs and
 flags; wall-clock timings are only emitted behind --timings.
 """
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeError as exc:  # no witness in the exponential branch falsifies the theorem
+        print(f"error: {exc}", file=sys.stderr)
+        return DISCREPANCY
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ A star has a distinguished center 0 joined to leaves 1..n by solid edges
 commutation relations.  This module provides parsing, dashed-component
 structure, pruning of leaves untouched by dashed edges, isomorphism via a
 canonical form, subgraph embeddings, and exhaustive enumeration of
-configurations up to isomorphism.
+configurations up to isomorphism, generated leaf by leaf.
 """
 
 from __future__ import annotations
@@ -282,28 +282,48 @@ def delete_dashed_edge(g: TwoColoredStar, pair: Pair) -> TwoColoredStar:
     return TwoColoredStar(g.n, g.dashed - {(i, j)})
 
 
+def _degree_profile(g: TwoColoredStar) -> tuple:
+    """Each leaf's degree with its neighbours' sorted degrees, as a sorted tuple."""
+    neighbors: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
+    for i, j in g.dashed:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return tuple(sorted(
+        (len(nbrs), tuple(sorted(len(neighbors[u]) for u in nbrs))) for nbrs in neighbors.values()
+    ))
+
+
 @functools.lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[TwoColoredStar, ...]:
-    import networkx as nx
-
-    graphs = []
-    for atlas_graph in nx.graph_atlas_g():
-        if atlas_graph.number_of_nodes() != n:
-            continue
-        dashed = [(u + 1, v + 1) for u, v in atlas_graph.edges()]
-        graphs.append(canonical_representative(TwoColoredStar(n, dashed)))
-    graphs.sort(key=canonical_form)
-    return tuple(graphs)
+    # Every class on n leaves is a class on n - 1 leaves plus leaf n joined
+    # to some subset of 1..n-1.  Candidates are bucketed by edge count and
+    # degree profile; within a bucket, an embedding between graphs with the
+    # same leaf and edge counts is an isomorphism.
+    if n == 0:
+        return (TwoColoredStar(0),)
+    buckets: dict[tuple, list[TwoColoredStar]] = {}
+    for base in _enumerate_cached(n - 1):
+        for mask in range(1 << (n - 1)):
+            g = TwoColoredStar(n, base.dashed | {(i, n) for i in range(1, n) if mask >> (i - 1) & 1})
+            bucket = buckets.setdefault((len(g.dashed), _degree_profile(g)), [])
+            if not any(contains_subgraph(h, g) for h in bucket):
+                bucket.append(g)
+    # A lexicographically least representative is its own canonical key.
+    reps = [canonical_representative(g) for bucket in buckets.values() for g in bucket]
+    reps.sort(key=TwoColoredStar.sorted_dashed)
+    return tuple(reps)
 
 
 def enumerate_graphs(n: int) -> list[TwoColoredStar]:
     """One representative per isomorphism class of dashed configurations on n leaves.
 
-    Representatives come from the atlas of small graphs and are returned in
-    deterministic canonical-form order; the empty configuration is included.
+    Classes are generated by extending each class on n - 1 leaves by one
+    leaf.  Each representative is the lexicographically least relabelling
+    of its class, and they are returned in canonical-form order; the empty
+    configuration is included.  Raises ValueError unless 1 <= n <= 7.
     """
     if n < 1:
         raise ValueError(f"leaf count must be at least 1, got {n}")
     if n > 7:
-        raise ValueError("enumeration is backed by the atlas of small graphs (n <= 7)")
+        raise ValueError("enumeration of classes is available up to 7 leaves")
     return list(_enumerate_cached(n))

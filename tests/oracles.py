@@ -8,7 +8,8 @@ each transition by rescanning every suffix instead of the package's one
 Aho-Corasick pass, quotient dimensions come from linear algebra over
 two-term relation instances (a weighted union-find, since every defining
 relation has at most two terms), isomorphism classes are rebuilt by raw
-permutation search, and
+permutation search (`atlas_classes` takes them from the networkx atlas
+and finds each least relabelling the same way), and
 `reference_buchberger` completes relations with plain scalar polynomial
 arithmetic instead of the package's tagged binomial rules, and
 `reference_reduce` reduces whole polynomials under a choice of rewriting
@@ -238,6 +239,31 @@ def brute_force_classes(n: int) -> list[TwoColoredStar]:
         g = TwoColoredStar(n, edges)
         if not any(_permutation_isomorphic(g, r) for r in reps):
             reps.append(g)
+    return reps
+
+
+def atlas_classes(n: int) -> list[TwoColoredStar]:
+    """Classes on n leaves (n <= 7) from the networkx atlas of small graphs.
+
+    Each class is given as its lexicographically least relabelled edge list,
+    found by a plain loop over all permutations, and the classes are sorted
+    by those edge lists.  Skips the calling test when networkx is missing.
+    """
+    import pytest
+
+    nx = pytest.importorskip("networkx")
+    leaves = range(1, n + 1)
+    reps = []
+    for graph in nx.graph_atlas_g():
+        if graph.number_of_nodes() != n:
+            continue
+        edges = [(u + 1, v + 1) for u, v in graph.edges()]
+        best = min(
+            sorted((min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1])) for i, j in edges)
+            for perm in itertools.permutations(leaves)
+        )
+        reps.append(TwoColoredStar(n, best))
+    reps.sort(key=TwoColoredStar.sorted_dashed)
     return reps
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tlstar import report
+from tlstar import classifier, report
 from tlstar.cli import main
 
 FULLY_DASHED_K7 = "K(7; " + ",".join(f"{i}-{j}" for i in range(1, 8) for j in range(i + 1, 8)) + ")"
@@ -89,6 +89,14 @@ class TestClassify:
         assert run_cli(*argv) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: max_degree must be nonnegative\n"
+        assert captured.out == ""
+
+    def test_classification_inconsistency_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(classifier, "MINIMAL_EXPONENTIAL_GRAPHS", ())
+        assert run_cli("classify", "K(5; 1-2,2-3,4-5)", "--method", "theorem") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: classification inconsistency: K(5; 1-2, 2-3, 4-5)")
+        assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
     def test_json_deterministic(self, tmp_path):

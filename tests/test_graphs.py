@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_classes, brute_force_embedding
+from oracles import atlas_classes, brute_force_classes, brute_force_embedding
+from tlstar import graphs
 from tlstar.graphs import (
     TwoColoredStar,
     canonical_form,
@@ -206,7 +208,7 @@ def test_edge_deletion_and_prune_give_subgraphs(g):
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
     def test_class_counts(self, n, count):
         assert len(enumerate_graphs(n)) == count
 
@@ -223,6 +225,15 @@ class TestEnumeration:
         keys = [canonical_form(g) for g in graphs]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_atlas_classes(self, n):
+        assert enumerate_graphs(n) == atlas_classes(n)
+
+    def test_needs_no_networkx(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        graphs._enumerate_cached.cache_clear()
+        assert [len(enumerate_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
     def test_includes_empty_configuration(self):
         assert TwoColoredStar(3, []) in enumerate_graphs(3)
