@@ -32,7 +32,6 @@ from .graphs import (
     canonical_representative,
     contains_subgraph,
     dashed_components,
-    delete_dashed_edge,
     enumerate_graphs,
     is_isomorphic,
     parse_graph,
@@ -47,7 +46,7 @@ from .growth import (
     search_free_pair,
     verify_free_pair,
 )
-from .ncpoly import NcPolynomial, Word, compare_words, format_word, parse_word, word_key
+from .ncpoly import NcPolynomial, Word, format_word, parse_word, word_key
 from .presentation import Presentation, build_presentation
 from .report import AnalysisReport, EngineRun, SweepResult, analyze, cross_validate, run_engine
 from .scalars import Polynomial, RationalFunction
@@ -82,11 +81,9 @@ __all__ = [
     "check_nu_conditions",
     "classify_by_theorem",
     "classify_growth",
-    "compare_words",
     "contains_subgraph",
     "cross_validate",
     "dashed_components",
-    "delete_dashed_edge",
     "enumerate_graphs",
     "find_free_pair_violation",
     "format_word",

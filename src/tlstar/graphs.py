@@ -28,8 +28,6 @@ __all__ = [
     "is_isomorphic",
     "contains_subgraph",
     "enumerate_graphs",
-    "delete_dashed_edge",
-    "relabel",
 ]
 
 Pair = tuple[int, int]
@@ -97,17 +95,6 @@ class Embedding:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
-
-    def is_valid(self, host: TwoColoredStar, pattern: TwoColoredStar) -> bool:
-        m = self.as_dict()
-        if sorted(m) != list(range(1, pattern.n + 1)):
-            return False
-        values = list(m.values())
-        if len(set(values)) != len(values):
-            return False
-        if any(v < 1 or v > host.n for v in values):
-            return False
-        return all(host.is_dashed(m[i], m[j]) for i, j in pattern.dashed)
 
     def to_json_dict(self) -> list[list[int]]:
         return [[a, b] for a, b in self.mapping]
@@ -190,11 +177,6 @@ def prune_isolated_leaves(g: TwoColoredStar) -> tuple[TwoColoredStar, tuple[int,
     return TwoColoredStar(len(kept), dashed), removed
 
 
-def relabel(g: TwoColoredStar, perm: dict[int, int]) -> TwoColoredStar:
-    """Apply a permutation of the leaves to the dashed set."""
-    return TwoColoredStar(g.n, [(perm[i], perm[j]) for i, j in g.dashed])
-
-
 @functools.lru_cache(maxsize=None)
 def _canonical_key(n: int, dashed: frozenset[Pair]) -> tuple:
     if n <= 1 or not dashed:
@@ -273,13 +255,6 @@ def contains_subgraph(host: TwoColoredStar, pattern: TwoColoredStar) -> Optional
     if backtrack(0):
         return Embedding(assignment)
     return None
-
-
-def delete_dashed_edge(g: TwoColoredStar, pair: Pair) -> TwoColoredStar:
-    i, j = min(pair), max(pair)
-    if (i, j) not in g.dashed:
-        raise ValueError(f"pair {i}-{j} is not a dashed edge of {g}")
-    return TwoColoredStar(g.n, g.dashed - {(i, j)})
 
 
 def _degree_profile(g: TwoColoredStar) -> tuple:

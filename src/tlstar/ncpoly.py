@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Tuple
 __all__ = [
     "Word",
     "word_key",
-    "compare_words",
     "find_factor",
     "format_word",
     "parse_word",
@@ -27,16 +26,6 @@ Word = Tuple[int, ...]
 def word_key(w: Word):
     """Sort key realising the degree-lexicographic order."""
     return (len(w), w)
-
-
-def compare_words(a: Word, b: Word) -> int:
-    """Return -1, 0 or 1 according to the degree-lexicographic order."""
-    ka, kb = (len(a), a), (len(b), b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def find_factor(w: Word, factor: Word) -> int:

@@ -13,7 +13,9 @@ and finds each least relabelling the same way), and
 `reference_buchberger` completes relations with plain scalar polynomial
 arithmetic instead of the package's tagged binomial rules, and
 `reference_reduce` reduces whole polynomials under a choice of rewriting
-strategies instead of the package's word-by-word rewriting.
+strategies instead of the package's word-by-word rewriting.  The small
+helpers only tests need (`compare_words`, `relabel`, `delete_dashed_edge`,
+`embedding_is_valid`) live here too.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ from fractions import Fraction
 from tlstar.graphs import TwoColoredStar
 from tlstar.ncpoly import NcPolynomial, word_key
 from tlstar.presentation import Presentation, build_presentation
+
+
+def compare_words(a, b) -> int:
+    """Return -1, 0 or 1 according to the degree-lexicographic order."""
+    ka, kb = word_key(a), word_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def has_factor(word, factor):
@@ -217,6 +225,31 @@ def quotient_dimensions(g: TwoColoredStar, max_degree: int, margin: int = 0,
         seen |= roots_by_len.get(d, set())
         dims.append(sum(1 for r in seen if r not in zero))
     return dims
+
+
+def relabel(g: TwoColoredStar, perm: dict[int, int]) -> TwoColoredStar:
+    """Apply a permutation of the leaves to the dashed set."""
+    return TwoColoredStar(g.n, [(perm[i], perm[j]) for i, j in g.dashed])
+
+
+def delete_dashed_edge(g: TwoColoredStar, pair) -> TwoColoredStar:
+    i, j = min(pair), max(pair)
+    if (i, j) not in g.dashed:
+        raise ValueError(f"pair {i}-{j} is not a dashed edge of {g}")
+    return TwoColoredStar(g.n, g.dashed - {(i, j)})
+
+
+def embedding_is_valid(emb, host: TwoColoredStar, pattern: TwoColoredStar) -> bool:
+    """Whether the embedding is an injection of pattern's leaves carrying dashed pairs to dashed pairs."""
+    m = emb.as_dict()
+    if sorted(m) != list(range(1, pattern.n + 1)):
+        return False
+    values = list(m.values())
+    if len(set(values)) != len(values):
+        return False
+    if any(v < 1 or v > host.n for v in values):
+        return False
+    return all(host.is_dashed(m[i], m[j]) for i, j in pattern.dashed)
 
 
 def brute_force_embedding(host: TwoColoredStar, pattern: TwoColoredStar):

@@ -14,13 +14,19 @@ import sys
 
 import pytest
 
-from oracles import count_all_normal_words, is_normal_word, normal_word_counts, reference_reduce
+from oracles import (
+    count_all_normal_words,
+    delete_dashed_edge,
+    embedding_is_valid,
+    is_normal_word,
+    normal_word_counts,
+    reference_reduce,
+)
 from test_groebner import random_polynomial, random_scalar
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.classifier import MINIMAL_EXPONENTIAL_GRAPHS, classify_by_theorem
 from tlstar.graphs import (
     TwoColoredStar,
-    delete_dashed_edge,
     enumerate_graphs,
     parse_graph,
     prune_isolated_leaves,
@@ -55,7 +61,7 @@ def test_criterion_1_theorem_cross_validation(sweep6):
     disagreements = sweep6.disagreements()
     ok = sweep6.all_agree and sweep6.all_complete
     witnesses_ok = all(
-        row.theorem.witness is not None and row.theorem.witness.is_valid(row.graph, row.theorem.witness_pattern)
+        row.theorem.witness is not None and embedding_is_valid(row.theorem.witness, row.graph, row.theorem.witness_pattern)
         for row in sweep6.rows
         if row.theorem.coarse == "exponential"
     )

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from oracles import embedding_is_valid, relabel
 from test_graphs import stars_with_permutation
 from tlstar.classifier import (
     MINIMAL_EXPONENTIAL_GRAPHS,
@@ -12,7 +13,6 @@ from tlstar.graphs import (
     enumerate_graphs,
     parse_graph,
     prune_isolated_leaves,
-    relabel,
 )
 
 
@@ -31,7 +31,7 @@ class TestVerdicts:
         v = classify_by_theorem(g)
         assert v.coarse == "exponential" and v.branch == "(iii)"
         assert v.nu == 3
-        assert v.witness is not None and v.witness.is_valid(g, v.witness_pattern)
+        assert v.witness is not None and embedding_is_valid(v.witness, g, v.witness_pattern)
 
     def test_triangle_finite(self):
         v = classify_by_theorem(parse_graph("K(3; 1-2,1-3,2-3)"))
@@ -66,7 +66,7 @@ class TestWitnesses:
                 v = classify_by_theorem(g)
                 if v.coarse == "exponential":
                     assert v.witness_pattern in MINIMAL_EXPONENTIAL_GRAPHS
-                    assert v.witness.is_valid(g, v.witness_pattern)
+                    assert embedding_is_valid(v.witness, g, v.witness_pattern)
                 else:
                     assert v.witness is None
 

@@ -272,3 +272,55 @@ class TestReferenceCompletion:
         res = buchberger(pres)
         _same_completion(res, reference_buchberger(pres))
         assert res.obstructions == {(1,)} and res.complete
+
+
+def _fully_dashed(n):
+    return TwoColoredStar(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+class TestPrimeOverlaps:
+    """Skipping composite overlaps leaves every completion as the oracle's."""
+
+    def test_fully_dashed_six_leaves(self):
+        pres = build_presentation(_fully_dashed(6), "1/2")
+        res = buchberger(pres)
+        _same_completion(res, reference_buchberger(pres))
+        assert res.stats.pairs_composite > 0
+
+    def test_fully_dashed_five_leaves_every_truncation(self):
+        pres = build_presentation(_fully_dashed(5), "1/2")
+        for bound in range(3, 19):
+            _same_completion(buchberger(pres, bound), reference_buchberger(pres, bound))
+
+
+class TestCompletionStats:
+    @pytest.mark.parametrize("text", [
+        "K(1;)", "K(5; 1-2,2-3,4-5)", "K(4; 1-2,2-3,3-4,1-4)", "K(4; 1-2,1-3,1-4,2-3,2-4,3-4)",
+    ])
+    @pytest.mark.parametrize("bound", [5, None])
+    def test_every_popped_pair_accounted_for(self, text, bound):
+        s = buchberger(build_presentation(parse_graph(text), "1/2"), bound).stats
+        assert s.pairs_popped == s.pairs_enqueued
+        assert s.pairs_popped == s.pairs_dead + s.pairs_composite + s.pairs_to_zero + s.pairs_inserted
+
+    def test_fully_dashed_four_leaves(self):
+        for mode in ("symbolic", "1/2"):
+            res = buchberger(build_presentation(_fully_dashed(4), mode))
+            s = res.stats
+            assert s.pairs_composite == 220
+            assert (s.pairs_popped, s.pairs_to_zero, s.pairs_inserted) == (603, 355, 28)
+            assert s.pairs_over_bound == 0 and s.peak_live_rules == len(res.rules) == 47
+
+    def test_truncation_counts_pairs_over_bound(self):
+        s = buchberger(build_presentation(parse_graph("K(5; 1-2,2-3,4-5)")), degree_bound=3).stats
+        assert s.pairs_over_bound > 0
+
+    def test_withdrawals_counted(self):
+        # p1 p1 -> t p1 is withdrawn when p1 -> 0 arrives.
+        rules = (((1, 1), (1, 1, (1,))), ((1, 1), (1, 0, (1,))))
+        s = buchberger(Presentation(n=1, rules=rules, t=T, mode="symbolic")).stats
+        assert s.rules_withdrawn == 1
+
+    def test_not_in_json(self):
+        res = buchberger(build_presentation(parse_graph("K(2; 1-2)")))
+        assert set(res.to_json_dict()) == {"degree_bound", "complete", "basis_size", "obstructions"}

@@ -3,11 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import count_all_normal_words, minimal_antichain, normal_word_counts
+from oracles import count_all_normal_words, delete_dashed_edge, minimal_antichain, normal_word_counts
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.graphs import (
     TwoColoredStar,
-    delete_dashed_edge,
     enumerate_graphs,
     parse_graph,
     prune_isolated_leaves,

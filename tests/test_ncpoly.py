@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import compare_words
 from tlstar.ncpoly import (
     NcPolynomial,
-    compare_words,
     find_factor,
     format_word,
     parse_word,

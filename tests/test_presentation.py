@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from oracles import relabel
 from test_graphs import stars_with_permutation
-from tlstar.graphs import parse_graph, relabel
+from tlstar.graphs import parse_graph
 from tlstar.ncpoly import NcPolynomial
 from tlstar.presentation import build_presentation, parameter_label
 from tlstar.scalars import RationalFunction
