@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: classify, hilbert, gb, crossvalidate, witness, enumerate.
-Exit codes: 0 success/agreement, 1 usage or parse error, 2 mathematical
-discrepancy (engine vs structural classifier mismatch, violated component
-conditions, truncated completion in a sweep, a failed witness check, or an
-exponential-branch graph in which the theorem finds no witness).
+Exit codes: 0 success/agreement, 1 usage or parse error or an unwritable
+--json path, 2 mathematical discrepancy (engine vs structural classifier
+mismatch, violated component conditions, truncated completion in a sweep, a
+failed witness check, or an exponential-branch graph in which the theorem
+finds no witness).
 JSON output is schema-stable and byte-deterministic for fixed inputs and
 flags; wall-clock timings are only emitted behind --timings.
 """
@@ -40,7 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot write {path}: {exc.strerror or exc}")) from None
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +229,19 @@ class TestWitness:
         assert capsys.readouterr().out.strip().splitlines()[-1] == "none"
 
 
+class TestUnwritableJson:
+    def test_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        assert run_cli("classify", "K(3; 1-2)", "--json", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_path_is_a_directory(self, capsys, tmp_path):
+        assert run_cli("gb", "K(3; 1-2)", "--json", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 class TestEnumerate:
     def test_counts(self, capsys):
         code = run_cli("enumerate", "4")
@@ -246,6 +261,19 @@ def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "tlstar.cli", "classify", "K(2; 1-2)"],
         capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert "finite" in proc.stdout
+
+
+def test_python_dash_m_tlstar_subprocess():
+    # A source checkout runs the CLI as ``python -m tlstar`` with src/ on PYTHONPATH.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tlstar", "classify", "K(2; 1-2)"],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "finite" in proc.stdout

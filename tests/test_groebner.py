@@ -12,7 +12,7 @@ from oracles import (
 )
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
-from tlstar.groebner import Rewriter, buchberger, reduce
+from tlstar.groebner import Rewriter, buchberger, check_degree_bound, reduce
 from tlstar.ncpoly import NcPolynomial
 from tlstar.presentation import Presentation, build_presentation
 from tlstar.scalars import Polynomial, RationalFunction, T
@@ -264,6 +264,34 @@ class TestReferenceCompletion:
         _same_completion(res, reference_buchberger(big))
         assert res.obstructions == {lift(w) for w in buchberger(pres).obstructions}
 
+    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
+    @pytest.mark.parametrize("text", ["K(4; 1-2,2-3,3-4,1-4)", "K(5; 1-2,2-3,4-5)"])
+    @pytest.mark.parametrize("bound", [5, None])
+    def test_wide_alphabet_equals_byte_words(self, text, mode, bound):
+        # Completion holds words as bytes when every letter fits in a byte
+        # and as tuples otherwise; the same rules renumbered past 255 must
+        # complete to the same result, counters included.
+        pres = build_presentation(parse_graph(text), mode)
+        bound = check_degree_bound(pres, bound)
+        shift = {0: 0, **{k: k + 296 for k in range(1, pres.n + 1)}}
+        unshift = {v: k for k, v in shift.items()}
+
+        def relabel(w, table):
+            return tuple(table[a] for a in w)
+
+        def relabel_rules(rules, table):
+            return tuple(
+                (relabel(lead, table), None if rhs is None else (rhs[0], rhs[1], relabel(rhs[2], table)))
+                for lead, rhs in rules
+            )
+
+        big = Presentation(n=300, rules=relabel_rules(pres.rules, shift), t=pres.t, mode=pres.mode)
+        assert big.alphabet_size() > 256
+        got, want = buchberger(big, bound), buchberger(pres, bound)
+        assert relabel_rules(got.rules, unshift) == want.rules
+        assert {relabel(w, unshift) for w in got.obstructions} == want.obstructions
+        assert (got.complete, got.stats) == (want.complete, want.stats)
+
     def test_tag_mismatch_makes_zero_rule(self):
         # p1 p1 = t p1 and p1 p1 = p1 give (1 - t) p1 = 0, hence p1 = 0.
         rules = (((1, 1), (1, 1, (1,))), ((1, 1), (1, 0, (1,))))
@@ -310,6 +338,16 @@ class TestCompletionStats:
             assert s.pairs_composite == 220
             assert (s.pairs_popped, s.pairs_to_zero, s.pairs_inserted) == (603, 355, 28)
             assert s.pairs_over_bound == 0 and s.peak_live_rules == len(res.rules) == 47
+
+    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
+    def test_fully_dashed_six_leaves(self, mode):
+        # Composite pairs are counted where they are found, at push or at
+        # pop; an overlap probe that misses a position shows up here first.
+        res = buchberger(build_presentation(_fully_dashed(6), mode))
+        s = res.stats
+        assert s.pairs_enqueued == s.pairs_popped == 10_695
+        assert (s.pairs_composite, s.pairs_to_zero, s.pairs_inserted) == (6_594, 3_915, 186)
+        assert s.peak_live_rules == 220
 
     def test_truncation_counts_pairs_over_bound(self):
         s = buchberger(build_presentation(parse_graph("K(5; 1-2,2-3,4-5)")), degree_bound=3).stats
