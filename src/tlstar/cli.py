@@ -13,7 +13,9 @@ flags; wall-clock timings are only emitted behind --timings.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from itertools import accumulate
 from pathlib import Path
@@ -38,6 +40,23 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _check_json_target(path: str) -> None:
+    """Refuse a --json path that cannot be written, before any work is done.
+
+    `_write_json` still handles the OSError: the target can change meanwhile.
+    """
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.exists():
+        code = errno.ENOENT
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR
+    else:
+        return
+    raise SystemExit(_usage_error(f"cannot write {path}: {os.strerror(code)}"))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -305,6 +324,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.json:
+        _check_json_target(args.json)
     try:
         return args.func(args)
     except ValueError as exc:

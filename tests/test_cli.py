@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tlstar import classifier, report
+from tlstar import classifier, cli, report
 from tlstar.cli import main
 
 FULLY_DASHED_K7 = "K(7; " + ",".join(f"{i}-{j}" for i in range(1, 8) for j in range(i + 1, 8)) + ")"
@@ -240,6 +240,34 @@ class TestUnwritableJson:
         assert run_cli("gb", "K(3; 1-2)", "--json", str(tmp_path)) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", [["classify", "K(3; 1-2)"], ["gb", "K(3; 1-2)"],
+                                         ["crossvalidate", "--max-leaves", "2"]])
+    def test_refused_before_completion(self, capsys, tmp_path, monkeypatch, command):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("completion ran before the --json path was checked")
+
+        monkeypatch.setattr(report, "buchberger", no_engine)
+        path = tmp_path / "missing" / "x.json"
+        assert run_cli(*command, "--json", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_write_error_after_the_check(self, capsys, tmp_path, monkeypatch):
+        # The directory can vanish between the check and the write.
+        monkeypatch.setattr(cli, "_check_json_target", lambda path: None)
+        path = tmp_path / "missing" / "x.json"
+        assert run_cli("gb", "K(3; 1-2)", "--json", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_parent_is_a_file(self, capsys, tmp_path):
+        parent = tmp_path / "file"
+        parent.write_text("")
+        assert run_cli("enumerate", "2", "--json", str(parent / "x.json")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {parent / 'x.json'}: Not a directory\n"
 
 
 class TestEnumerate:

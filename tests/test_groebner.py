@@ -12,7 +12,15 @@ from oracles import (
 )
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
-from tlstar.groebner import Rewriter, buchberger, check_degree_bound, reduce
+from tlstar.groebner import (
+    Rewriter,
+    _cards,
+    _relabel,
+    _TaggedCompletion,
+    buchberger,
+    check_degree_bound,
+    reduce,
+)
 from tlstar.ncpoly import NcPolynomial
 from tlstar.presentation import Presentation, build_presentation
 from tlstar.scalars import Polynomial, RationalFunction, T
@@ -332,11 +340,14 @@ class TestCompletionStats:
         assert s.pairs_popped == s.pairs_dead + s.pairs_composite + s.pairs_to_zero + s.pairs_inserted
 
     def test_fully_dashed_four_leaves(self):
+        # Seeded from the fully dashed K3 card, shared by all four leaves,
+        # which is itself seeded from K2, which is seeded from K1.
         for mode in ("symbolic", "1/2"):
             res = buchberger(build_presentation(_fully_dashed(4), mode))
             s = res.stats
-            assert s.pairs_composite == 220
-            assert (s.pairs_popped, s.pairs_to_zero, s.pairs_inserted) == (603, 355, 28)
+            assert s.pairs_composite == 104
+            assert (s.pairs_popped, s.pairs_to_zero, s.pairs_inserted) == (194, 86, 4)
+            assert (s.pairs_in_card, s.cards_completed) == (409, 3)
             assert s.pairs_over_bound == 0 and s.peak_live_rules == len(res.rules) == 47
 
     @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
@@ -345,9 +356,21 @@ class TestCompletionStats:
         # pop; an overlap probe that misses a position shows up here first.
         res = buchberger(build_presentation(_fully_dashed(6), mode))
         s = res.stats
-        assert s.pairs_enqueued == s.pairs_popped == 10_695
-        assert (s.pairs_composite, s.pairs_to_zero, s.pairs_inserted) == (6_594, 3_915, 186)
+        assert s.pairs_enqueued == s.pairs_popped == 2_258
+        assert (s.pairs_composite, s.pairs_to_zero, s.pairs_inserted) == (1_812, 440, 6)
+        assert (s.pairs_in_card, s.cards_completed) == (8_437, 5)
         assert s.peak_live_rules == 220
+
+    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
+    def test_no_repeated_card(self, mode):
+        # No two cards of this graph relabel to the same rules, so nothing
+        # is seeded and the run is the unseeded completion, pair for pair.
+        res = buchberger(build_presentation(parse_graph("K(5; 1-2,1-3,1-4,1-5,2-3,2-4,3-5)"), mode))
+        s = res.stats
+        assert s.pairs_enqueued == s.pairs_popped == 595
+        assert (s.pairs_composite, s.pairs_to_zero, s.pairs_inserted) == (138, 431, 26)
+        assert (s.pairs_in_card, s.cards_completed) == (0, 0)
+        assert s.peak_live_rules == len(res.rules) == 55
 
     def test_truncation_counts_pairs_over_bound(self):
         s = buchberger(build_presentation(parse_graph("K(5; 1-2,2-3,4-5)")), degree_bound=3).stats
@@ -362,3 +385,89 @@ class TestCompletionStats:
     def test_not_in_json(self):
         res = buchberger(build_presentation(parse_graph("K(2; 1-2)")))
         assert set(res.to_json_dict()) == {"degree_bound", "complete", "basis_size", "obstructions"}
+
+
+def _byte_rules(pres):
+    return tuple((bytes(lead), None if rhs is None else (rhs[0], rhs[1], bytes(rhs[2])))
+                 for lead, rhs in pres.rules)
+
+
+def _tuple_rules(rules):
+    return tuple((tuple(lead), None if rhs is None else (rhs[0], rhs[1], tuple(rhs[2])))
+                 for lead, rhs in rules)
+
+
+class TestDeckSeeding:
+    """Seeded completion against the unseeded `_TaggedCompletion` of the same rules."""
+
+    REFERENCE_GRAPHS = [
+        "K(5; 1-2,2-3,4-5)",
+        "K(4; 1-2,2-3,3-4,1-4)",
+        "K(4; 1-2,1-3,1-4,2-3,2-4,3-4)",
+        "K(5; 1-2,1-3,1-4,1-5,2-3,2-4,2-5,3-4,3-5,4-5)",
+    ]
+
+    def _same_as_unseeded(self, pres, bound=None):
+        res = buchberger(pres, bound)
+        rules, complete, _ = _TaggedCompletion(_byte_rules(pres), res.degree_bound).run()
+        assert res.rules == _tuple_rules(rules)
+        assert res.obstructions == {lead for lead, _ in res.rules}
+        assert res.complete == complete
+        return res
+
+    def test_every_class_up_to_five_leaves(self):
+        # The rules do not depend on t, so one mode covers both.
+        seeded = 0
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                res = self._same_as_unseeded(build_presentation(g, "1/2"))
+                seeded += res.stats.pairs_in_card > 0
+        assert seeded > 0
+
+    @pytest.mark.parametrize("text", REFERENCE_GRAPHS)
+    def test_every_bound(self, text):
+        # A truncated result is the unseeded run's: it never skips a pair
+        # for a shared card.
+        g = parse_graph(text)
+        pres = build_presentation(g, "1/2")
+        truncated = 0
+        for bound in range(3, 2 * g.n + 9):
+            res = self._same_as_unseeded(pres, bound)
+            if not res.complete:
+                truncated += 1
+                assert res.stats.pairs_in_card == 0
+        assert truncated > 0
+
+    def test_fully_dashed_six_leaves(self):
+        res = self._same_as_unseeded(build_presentation(_fully_dashed(6), "1/2"))
+        assert res.complete and res.stats.pairs_in_card > 0
+
+    @pytest.mark.parametrize("rules", [
+        (((0, 0), (1, 0, (2,))), ((0, 0), (1, 0, (1,)))),
+        (((3, 3), (-1, 0, (0, 1))), ((0, 0), (1, 1, (2,))), ((3, 3), (-1, 0, (1, 2))),
+         ((2, 0), (1, 1, (1, 1)))),
+    ])
+    def test_cards_that_disagree_give_no_seeds(self, rules):
+        # In the first, p0 p0 = p2 and p0 p0 = p1: the cards dropping p1 and
+        # p2 relabel to equal rules, which map back to two right-hand sides
+        # for p0 p0.  Star presentations never do this; other rules may.
+        n = max(max(lead + rhs[2]) for lead, rhs in rules)
+        pres = Presentation(n=n, rules=rules, t=T, mode="symbolic")
+        res = self._same_as_unseeded(pres)
+        _same_completion(res, reference_buchberger(pres))
+        assert res.stats.cards_completed > 0 and res.stats.pairs_in_card == 0
+
+    @pytest.mark.parametrize("text", REFERENCE_GRAPHS + ["K(6; 1-2,1-3,1-4,1-5,1-6,2-3,2-4,2-5,2-6,3-4,3-5,3-6,4-5,4-6,5-6)"])
+    def test_cards_agree_on_shared_leads(self, text):
+        # Every card's finished rules, mapped back to its letters: a lead
+        # two cards share has one right-hand side, and the leads form an
+        # antichain, so the seeds go in as rules without any reduction.
+        pres = build_presentation(parse_graph(text), "1/2")
+        bound = check_degree_bound(pres)
+        union = {}
+        for kept, card in _cards(_byte_rules(pres)):
+            rules, complete, _ = _TaggedCompletion(card, bound).run()
+            assert complete
+            for lead, rhs in _relabel(rules, kept, bytes):
+                assert union.setdefault(lead, rhs) == rhs
+        assert is_antichain({tuple(lead) for lead in union})
