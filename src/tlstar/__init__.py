@@ -10,9 +10,11 @@ of the same trichotomy.
 
 Every defining relation is a binomial with coefficient ratio in {+-1, +-t},
 so the presentation is a list of (sign, t-exponent) tagged rules read off
-the graph, and completion runs on those tags instead of scalars.  Q(t) or
-Q scalars appear only in rendering, when `Presentation.relations` or
-`GroebnerResult.basis` is first read, and in `Rewriter`/`reduce`.
+the graph, and completion runs on those tags instead of scalars.  The rules
+and every result computed from them are the same for every value of t, so
+no engine entry point takes one.  Scalars appear only in rendering, over
+Q(t) when `Presentation.relations` or `GroebnerResult.basis` is first read
+and over Q by `render_rules` at a rational t, and in `Rewriter`/`reduce`.
 `run_engine` is the one pipeline from a graph to its growth.  All results
 stay exact.
 """
@@ -47,7 +49,7 @@ from .growth import (
     verify_free_pair,
 )
 from .ncpoly import NcPolynomial, Word, format_word, parse_word, word_key
-from .presentation import Presentation, build_presentation
+from .presentation import Presentation, build_presentation, render_rules
 from .report import AnalysisReport, EngineRun, SweepResult, analyze, cross_validate, run_engine
 from .scalars import Polynomial, RationalFunction
 
@@ -93,6 +95,7 @@ __all__ = [
     "parse_word",
     "prune_isolated_leaves",
     "reduce",
+    "render_rules",
     "run_engine",
     "search_free_pair",
     "verify_free_pair",

@@ -7,12 +7,15 @@ state.  A transition dies exactly when the extended word acquires an
 obstruction as a suffix.  The same pass checks that the obstructions form
 an antichain.  Paths from the start state spell exactly the normal words,
 so counting fixed-length paths gives the Hilbert function of the monomial
-quotient.
+quotient.  The strongly connected components of the transition graph, which
+every growth verdict is read from, are found once per automaton, on first
+read of `AvoidanceAutomaton.structure`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .ncpoly import Word, word_key
@@ -20,6 +23,8 @@ from .ncpoly import Word, word_key
 __all__ = ["AvoidanceAutomaton", "build_automaton", "hilbert_prefix"]
 
 DEAD = -1
+
+Edges = list[list[tuple[int, int]]]  # edges[state] -> [(letter, target)], dead targets left out
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,17 @@ class AvoidanceAutomaton:
 
     def live_state_count(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def structure(self) -> tuple[Edges, list[list[int]], list[tuple[bool, bool]]]:
+        """Edges, strongly connected components (sinks first) and their profiles.
+
+        Built on first read, once per automaton, for every growth question
+        asked of it.
+        """
+        edges = [[(letter, t) for letter, t in enumerate(row) if t != DEAD] for row in self.transitions]
+        comps = _strongly_connected_components(edges)
+        return edges, comps, [_component_profile(comp, edges) for comp in comps]
 
 
 def build_automaton(obs: Iterable[Word], alphabet_size: int) -> AvoidanceAutomaton:
@@ -97,6 +113,65 @@ def build_automaton(obs: Iterable[Word], alphabet_size: int) -> AvoidanceAutomat
         transitions=tuple(transitions),
         obstructions=obs_set,
     )
+
+
+def _strongly_connected_components(edges: Edges) -> list[list[int]]:
+    """Iterative Tarjan from state 0 up; every component comes after all it can reach."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    components: list[list[int]] = []
+
+    for root in range(len(edges)):
+        if root in index:
+            continue
+        work = [(root, iter(edges[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for _, succ in it:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(edges[succ])))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    comp.append(member)
+                    if member == node:
+                        break
+                components.append(sorted(comp))
+    return components
+
+
+def _component_profile(comp: list[int], edges: Edges) -> tuple[bool, bool]:
+    """(has_cycle, is_simple_cycle) for the subgraph induced on the component."""
+    members = set(comp)
+    internal_out = {s: sum(1 for _, t in edges[s] if t in members) for s in comp}
+    if len(comp) == 1:
+        s = comp[0]
+        has_loop = any(t == s for _, t in edges[s])
+        return has_loop, has_loop and internal_out[s] == 1
+    # A strongly connected graph on >= 2 nodes always has a cycle; it is a
+    # single simple cycle exactly when every internal out-degree is 1.
+    return True, all(internal_out[s] == 1 for s in comp)
 
 
 def check_max_degree(max_degree: int) -> None:

@@ -8,6 +8,8 @@ failed witness check, or an exponential-branch graph in which the theorem
 finds no witness).
 JSON output is schema-stable and byte-deterministic for fixed inputs and
 flags; wall-clock timings are only emitted behind --timings.
+--t is checked before any stage runs.  It only labels output and sets the
+value at which gb --dump renders the basis: one engine run serves every t.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .graphs import enumerate_graphs, parse_graph
 from .groebner import buchberger  # noqa: F401
 from .growth import find_free_pair_violation, free_pair_window_bound, search_free_pair
 from .ncpoly import format_word, parse_word
-from .presentation import build_presentation  # noqa: F401
+from .presentation import build_presentation, parameter, render_rules  # noqa: F401
 from .report import analyze, cross_validate, run_engine
 
 __all__ = ["main"]
@@ -70,7 +72,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree-bound", type=int, default=None, metavar="N",
                    help="completion degree bound (default 2n + 8)")
     p.add_argument("--t", default="symbolic", metavar="MODE",
-                   help="'symbolic' (default) or a rational in (0,1) such as 1/2")
+                   help="'symbolic' (default) or a rational in (0,1) such as 1/2; only labels and renders")
 
 
 def _cmd_classify(args) -> int:
@@ -122,7 +124,7 @@ def _cmd_hilbert(args) -> int:
     if args.max_degree > args.cap:
         raise SystemExit(_usage_error(f"max degree {args.max_degree} exceeds the cap {args.cap}"))
     check_max_degree(args.max_degree)
-    run = run_engine(g, args.t, args.degree_bound)
+    run = run_engine(g, args.degree_bound)
     complete = run.groebner.complete
     prefix = hilbert_prefix(run.automaton, args.max_degree)
     cumulative = list(accumulate(prefix))
@@ -135,7 +137,7 @@ def _cmd_hilbert(args) -> int:
     if args.json:
         _write_json(args.json, {
             "graph": g.to_json_dict(),
-            "t": run.presentation.mode,
+            "t": args.t_label,
             "complete": complete,
             "prefix": prefix,
             "cumulative": cumulative,
@@ -145,7 +147,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_gb(args) -> int:
     g = parse_graph(args.graph)
-    result = run_engine(g, args.t, args.degree_bound).groebner
+    result = run_engine(g, args.degree_bound).groebner
     obs = sorted(result.obstructions, key=lambda w: (len(w), w))
     print(f"graph: {g}")
     print(f"basis size: {result.basis_size()}   complete: {result.complete}   "
@@ -154,14 +156,15 @@ def _cmd_gb(args) -> int:
     for w in obs:
         print(f"  {format_word(w)}")
     if args.dump:
+        basis = [p.format() for p in render_rules(result.rules, args.t_value)]
         print("basis elements:")
-        for p in result.basis:
-            print(f"  {p.format()}")
+        for p in basis:
+            print(f"  {p}")
     if args.json:
         payload = result.to_json_dict()
         payload["graph"] = g.to_json_dict()
         if args.dump:
-            payload["basis"] = [p.format() for p in result.basis]
+            payload["basis"] = basis
         _write_json(args.json, payload)
     return OK
 
@@ -200,7 +203,7 @@ def _cmd_witness(args) -> int:
             if outside:
                 raise ValueError(f"letter {outside[0]} in block {','.join(map(str, q))} "
                                  f"is outside the alphabet 0..{g.n}")
-    run = run_engine(g, args.t, args.degree_bound)
+    run = run_engine(g, args.degree_bound)
     result = run.groebner
     if not result.complete:
         print("warning: completion truncated; obstruction set is partial")
@@ -327,6 +330,8 @@ def main(argv=None) -> int:
     if args.json:
         _check_json_target(args.json)
     try:
+        if "t" in args:
+            args.t_value, args.t_label = parameter(args.t)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

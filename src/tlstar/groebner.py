@@ -14,9 +14,10 @@ word`` or ``lead -> 0``, seeded with the presentation's rules as they come
 from the graph.  A (sign, exp) tag is an exact coefficient: since 0 < t < 1,
 t**a == t**b only when a == b, so two tagged terms on the same word cancel
 exactly when their tags are equal and opposite.  Completion does no scalar
-arithmetic at all; the result keeps the finished rules, and
-`GroebnerResult.basis` renders them as monic Q(t) or Q polynomials on first
-read.  `Rewriter` reduces arbitrary polynomials modulo any binomial basis
+arithmetic at all, and it is the same for every value of t; the result
+keeps the finished rules, and `GroebnerResult.basis` renders them as monic
+Q(t) polynomials on first read (`render_rules` renders them at a rational
+t).  `Rewriter` reduces arbitrary polynomials modulo any binomial basis
 the same way, one word at a time, carrying a scalar coefficient instead of
 a tag: that is where scalars enter.  Results stay exact.
 
@@ -70,6 +71,7 @@ from typing import Iterable, Optional, Sequence
 
 from .ncpoly import NcPolynomial, Word, word_key
 from .presentation import Presentation, Rule, render_rules
+from .scalars import RationalFunction
 
 __all__ = ["CompletionStats", "GroebnerResult", "Rewriter", "reduce", "buchberger"]
 
@@ -104,7 +106,6 @@ class GroebnerResult:
     """Finished (or degree-truncated) rules together with their leading words."""
 
     rules: tuple[Rule, ...]  # live rules in degree-lex order of their leads
-    t: object  # the presentation's parameter, for rendering the basis
     obstructions: frozenset[Word]
     complete: bool
     degree_bound: int
@@ -112,8 +113,8 @@ class GroebnerResult:
 
     @cached_property
     def basis(self) -> tuple[NcPolynomial, ...]:
-        """The rules as monic polynomials over t's domain."""
-        return render_rules(self.rules, self.t)
+        """The rules as monic polynomials over Q(t)."""
+        return render_rules(self.rules, RationalFunction.t())
 
     def basis_size(self) -> int:
         return len(self.rules)
@@ -164,11 +165,14 @@ class _LeadTable:
             self.lengths = tuple(sorted(self.length_count))
 
     def find(self, w: Word, start: int = 0):
-        """Leftmost occurrence of any leading word inside w, from ``start`` on."""
+        """Leftmost occurrence of any leading word inside w, from ``start`` on.
+
+        An empty leading word occurs in every word, the empty word included.
+        """
         get = self.by_lead.get
         lengths = self.lengths
         lw = len(w)
-        for pos in range(start, lw):
+        for pos in range(start, lw or 1):
             rem = lw - pos
             for n in lengths:
                 if n > rem:
@@ -508,8 +512,10 @@ class _TaggedCompletion:
         # Inclusion ambiguities: any older rule whose leading word contains
         # the new one is withdrawn and re-reduced later.  The new lead is
         # irreducible, so such a lead is strictly longer and has it as a
-        # proper factor.
-        doomed = sorted(self.by_factor.get(lead, ()), key=lambda r: r.id)
+        # proper factor.  ``by_factor`` holds no empty factor: an empty lead
+        # (the ideal holds 1) withdraws every live rule.
+        doomed = self.index.by_lead.values() if not lead else self.by_factor.get(lead, ())
+        doomed = sorted(doomed, key=lambda r: r.id)
         for r in doomed:
             r.alive = False
             self._unregister(r)
@@ -689,7 +695,6 @@ def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> Groebn
     stats = replace(stats, cards_completed=len(memo))
     return GroebnerResult(
         rules=rules,
-        t=pres.t,
         obstructions=frozenset(lead for lead, _ in rules),
         complete=complete,
         degree_bound=degree_bound,

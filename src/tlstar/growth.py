@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .automaton import DEAD, AvoidanceAutomaton
+from .automaton import AvoidanceAutomaton, Edges
 from .ncpoly import Word, find_factor, word_key
 
 __all__ = [
@@ -72,83 +72,13 @@ class FreePairCertificate:
         return {"q1": list(self.q1), "q2": list(self.q2), "window_bound": self.window_bound}
 
 
-Edges = list[list[tuple[int, int]]]  # edges[state] -> [(letter, target)], dead targets left out
-
-
-def _structure(aut: AvoidanceAutomaton) -> tuple[Edges, list[list[int]], list[tuple[bool, bool]]]:
-    """Edges, strongly connected components (sinks first) and their profiles."""
-    edges = [[(letter, t) for letter, t in enumerate(row) if t != DEAD] for row in aut.transitions]
-    comps = _strongly_connected_components(edges)
-    return edges, comps, [_component_profile(comp, edges) for comp in comps]
-
-
-def _strongly_connected_components(edges: Edges) -> list[list[int]]:
-    """Iterative Tarjan from state 0 up; every component comes after all it can reach."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = itertools.count()
-
-    for root in range(len(edges)):
-        if root in index:
-            continue
-        work = [(root, iter(edges[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for _, succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = next(counter)
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(edges[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(comp))
-    return components
-
-
-def _component_profile(comp: list[int], edges: Edges) -> tuple[bool, bool]:
-    """(has_cycle, is_simple_cycle) for the subgraph induced on the component."""
-    members = set(comp)
-    internal_out = {s: sum(1 for _, t in edges[s] if t in members) for s in comp}
-    if len(comp) == 1:
-        s = comp[0]
-        has_loop = any(t == s for _, t in edges[s])
-        return has_loop, has_loop and internal_out[s] == 1
-    # A strongly connected graph on >= 2 nodes always has a cycle; it is a
-    # single simple cycle exactly when every internal out-degree is 1.
-    return True, all(internal_out[s] == 1 for s in comp)
-
-
 def classify_growth(aut: AvoidanceAutomaton, complete: bool = True) -> GrowthClass:
     """Structural trichotomy from the cycle structure of the automaton.
 
     With an incomplete obstruction set the normal-word language is only an
     upper approximation, so the verdict is tagged rather than authoritative.
     """
-    edges, comps, profiles = _structure(aut)
+    edges, comps, profiles = aut.structure
 
     if any(has_cycle and not simple for has_cycle, simple in profiles):
         return GrowthClass(EXPONENTIAL, upper_bound_only=not complete)
@@ -221,7 +151,7 @@ def search_free_pair(aut: AvoidanceAutomaton, max_block_len: int) -> Optional[Fr
     """
     if max_block_len < 2:
         raise ValueError("max_block_len must be at least 2")
-    edges, comps, profiles = _structure(aut)
+    edges, comps, profiles = aut.structure
     for comp, (has_cycle, simple) in sorted(zip(comps, profiles)):
         if not has_cycle or simple:
             continue

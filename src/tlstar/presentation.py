@@ -6,10 +6,12 @@ the square of the deformation parameter.  Dashed leaf pairs commute; all
 other leaf pairs multiply to zero in both orders.
 
 Every relation is a rewriting rule read straight off the graph: ``lead ->
-sign * t**exp * word`` or ``lead -> 0``.  The rules do not depend on the
-value of t, so they are the same in every scalar domain; `render_rules`
-turns rules into polynomials over Q(t) or Q, and `Presentation.relations`
-does so on first read.
+sign * t**exp * word`` or ``lead -> 0``.  The rules carry no value of t:
+they are the same for every t, and so is everything computed from them.
+`render_rules` is the one place a value of t enters: it turns rules into
+polynomials over Q(t), or over Q at a rational t, and
+`Presentation.relations` renders over Q(t) on first read.  `parameter`
+checks a parameter mode and gives its value and label.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .graphs import TwoColoredStar
 from .ncpoly import NcPolynomial, Word
 from .scalars import RationalFunction
 
-__all__ = ["Presentation", "build_presentation", "parameter_label"]
+__all__ = ["Presentation", "build_presentation", "parameter", "render_rules"]
 
 SYMBOLIC = "symbolic"
 
@@ -32,7 +34,10 @@ Rule = tuple[Word, Optional[tuple[int, int, Word]]]
 
 
 def render_rules(rules: Iterable[Rule], t) -> tuple[NcPolynomial, ...]:
-    """Monic polynomials lead - sign * t**exp * word (or lead) in t's scalar domain."""
+    """Monic polynomials lead - sign * t**exp * word (or lead) in t's scalar domain.
+
+    t is ``RationalFunction.t()`` for Q(t), or a `Fraction` for Q at that value.
+    """
     one = t / t  # unit of the active scalar domain; t is never zero here
     out = []
     for lead, rhs in rules:
@@ -46,21 +51,15 @@ def render_rules(rules: Iterable[Rule], t) -> tuple[NcPolynomial, ...]:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Relations of the algebra as rules, with the scalar domain they are read in."""
+    """Relations of the algebra as rules, the same for every value of t."""
 
     n: int
     rules: tuple[Rule, ...]
-    t: object  # RationalFunction in symbolic mode, Fraction otherwise
-    mode: str  # "symbolic" or "t=<p/q>"
 
     @cached_property
     def relations(self) -> tuple[NcPolynomial, ...]:
-        """The rules as polynomials over t's domain, leading term first."""
-        return render_rules(self.rules, self.t)
-
-    @property
-    def symbolic(self) -> bool:
-        return self.mode == SYMBOLIC
+        """The rules as polynomials over Q(t), leading term first."""
+        return render_rules(self.rules, RationalFunction.t())
 
     def alphabet_size(self) -> int:
         return self.n + 1
@@ -69,7 +68,13 @@ class Presentation:
         return "\n".join(rel.format() + " = 0" for rel in self.relations)
 
 
-def _parameter(mode) -> tuple[object, str]:
+def parameter(mode=SYMBOLIC) -> tuple[object, str]:
+    """(value, label) of a parameter mode, for `render_rules` and output.
+
+    "symbolic" (or None) gives Q(t)'s generator and the label "symbolic"; a
+    rational p/q strictly between 0 and 1 gives that `Fraction` and the
+    label "t=p/q" in lowest terms.  Raises ValueError for anything else.
+    """
     if mode is None or mode == SYMBOLIC:
         return RationalFunction.t(), SYMBOLIC
     try:
@@ -81,22 +86,13 @@ def _parameter(mode) -> tuple[object, str]:
     return value, f"t={value}"
 
 
-def parameter_label(mode=SYMBOLIC) -> str:
-    """Checked label of a parameter mode: "symbolic" or "t=p/q" in lowest terms.
-
-    Raises ValueError for anything `build_presentation` would reject.
-    """
-    return _parameter(mode)[1]
-
-
-def build_presentation(g: TwoColoredStar, mode=SYMBOLIC) -> Presentation:
+def build_presentation(g: TwoColoredStar) -> Presentation:
     """Relations for the star graph g.
 
     Per unordered leaf pair, exactly one of a commutation relation (dashed)
     or two zero-product relations (not dashed) is emitted, so the relation
     count is (n+1) + 2n + #dashed + 2*(#pairs - #dashed).
     """
-    t, mode_label = _parameter(mode)
     n = g.n
     leaves = range(1, n + 1)
     rules: list[Rule] = [((k, k), (1, 0, (k,))) for k in range(n + 1)]
@@ -109,4 +105,4 @@ def build_presentation(g: TwoColoredStar, mode=SYMBOLIC) -> Presentation:
                 rules.append(((j, i), (1, 0, (i, j))))
             else:
                 rules += [((i, j), None), ((j, i), None)]
-    return Presentation(n=n, rules=tuple(rules), t=t, mode=mode_label)
+    return Presentation(n=n, rules=tuple(rules))

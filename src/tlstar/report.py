@@ -1,13 +1,16 @@
 """The engine pipeline, end-to-end analysis of one graph, and the exhaustive sweep.
 
 `run_engine` is the one path from a graph to its growth: presentation,
-completion, avoidance automaton, growth class.  A full analysis runs the
-graph-theoretic classifier (always) and the engine (unless asked not to),
-then reconciles the two: any coarse-growth mismatch, violated
-component-count condition, or truncated completion raises a discrepancy
-flag that drives the CLI exit code.  The sweep applies the same
-reconciliation to every isomorphism class up to a leaf bound,
-deduplicating engine runs by the canonical form of the pruned graph.
+completion, avoidance automaton, growth class.  It takes no value of t:
+the rules and everything computed from them are the same for every t, so
+`analyze` and `cross_validate` only check a parameter mode and echo its
+label.  A full analysis runs the graph-theoretic classifier (always) and
+the engine (unless asked not to), then reconciles the two: any
+coarse-growth mismatch, violated component-count condition, or truncated
+completion raises a discrepancy flag that drives the CLI exit code.  The
+sweep applies the same reconciliation to every isomorphism class up to a
+leaf bound, deduplicating engine runs by the canonical form of the pruned
+graph.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .graphs import (
 )
 from .groebner import GroebnerResult, buchberger, check_degree_bound
 from .growth import FreePairCertificate, GrowthClass, classify_growth, search_free_pair
-from .presentation import Presentation, build_presentation, parameter_label
+from .presentation import Presentation, build_presentation, parameter
 
 __all__ = ["AnalysisReport", "EngineRun", "SweepResult", "analyze", "cross_validate", "run_engine"]
 
@@ -53,14 +56,14 @@ class EngineRun:
         return classify_growth(self.automaton, complete=self.groebner.complete)
 
 
-def run_engine(g: TwoColoredStar, t_mode="symbolic", degree_bound: Optional[int] = None) -> EngineRun:
+def run_engine(g: TwoColoredStar, degree_bound: Optional[int] = None) -> EngineRun:
     """Relations of g completed into a (possibly truncated) Groebner basis.
 
     Every stage is looked up in this module's namespace at call time, so a
     wrapper installed on ``tlstar.report.buchberger`` (or any other stage)
     sees every engine run.
     """
-    pres = build_presentation(g, t_mode)
+    pres = build_presentation(g)
     return EngineRun(pres, buchberger(pres, degree_bound))
 
 
@@ -127,14 +130,17 @@ def analyze(
     max_degree: int = DEFAULT_HILBERT_DEGREE,
     search_blocks: int = DEFAULT_SEARCH_BLOCKS,
 ) -> AnalysisReport:
-    """Run the requested classifiers on g and reconcile their verdicts."""
+    """Run the requested classifiers on g and reconcile their verdicts.
+
+    t_mode is only checked and labelled: no stage depends on t.
+    """
     if method not in ("both", "theorem", "groebner"):
         raise ValueError(f"unknown method {method!r}")
-    t_label = parameter_label(t_mode)
+    _, t_label = parameter(t_mode)
     check_max_degree(max_degree)
     if method == "theorem":
         # The engine checks the bound before completing; without it, check it here.
-        check_degree_bound(build_presentation(g, t_mode), degree_bound)
+        check_degree_bound(build_presentation(g), degree_bound)
     t_total = time.perf_counter()
     pruned, removed = prune_isolated_leaves(g)
     verdict = classify_by_theorem(g)
@@ -153,7 +159,7 @@ def analyze(
 
     if method != "theorem":
         t0 = time.perf_counter()
-        run = run_engine(g, t_mode, degree_bound)
+        run = run_engine(g, degree_bound)
         result = report.groebner = run.groebner
         report.timings["groebner_s"] = time.perf_counter() - t0
 
@@ -257,11 +263,12 @@ def cross_validate(
     graph (growth is invariant under pruning and relabelling, which the
     test suite checks separately) and reused across rows.  Only (growth,
     complete) is kept per class, so memory stays flat over the sweep.
-    Raises ValueError unless max_leaves >= 1.
+    t_mode is only checked and labelled.  Raises ValueError unless
+    max_leaves >= 1.
     """
     if max_leaves < 1:
         raise ValueError(f"max leaves must be at least 1, got {max_leaves}")
-    t_label = parameter_label(t_mode)
+    _, t_label = parameter(t_mode)
     engine_cache: dict = {}
     rows: list[SweepRow] = []
     for n in range(1, max_leaves + 1):
@@ -271,7 +278,7 @@ def cross_validate(
             key = canonical_form(rep)
             cached = engine_cache.get(key)
             if cached is None:
-                run = run_engine(rep, t_mode, degree_bound)
+                run = run_engine(rep, degree_bound)
                 cached = engine_cache[key] = (run.growth, run.groebner.complete)
             growth, complete = cached
             verdict = classify_by_theorem(g)

@@ -16,18 +16,17 @@ class EngineCache:
         self._full = {}
         self._coarse = {}
 
-    def full(self, g: TwoColoredStar, t_mode="symbolic"):
-        """(result, automaton, growth) for this exact graph and parameter mode."""
-        key = (g, str(t_mode))
-        hit = self._full.get(key)
+    def full(self, g: TwoColoredStar):
+        """(result, automaton, growth) for this exact graph."""
+        hit = self._full.get(g)
         if hit is None:
-            run = run_engine(g, t_mode)
+            run = run_engine(g)
             hit = (run.groebner, run.automaton, run.growth)
-            self._full[key] = hit
+            self._full[g] = hit
         return hit
 
     def coarse(self, g: TwoColoredStar) -> str:
-        """Coarse symbolic growth, memoised per isomorphism class."""
+        """Coarse growth, memoised per isomorphism class."""
         key = canonical_form(g)
         hit = self._coarse.get(key)
         if hit is None:

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 from tlstar.graphs import TwoColoredStar
 from tlstar.ncpoly import NcPolynomial, word_key
-from tlstar.presentation import Presentation, build_presentation
+from tlstar.presentation import Presentation, build_presentation, render_rules
+from tlstar.scalars import T
 
 
 def compare_words(a, b) -> int:
@@ -183,9 +184,8 @@ def quotient_dimensions(g: TwoColoredStar, max_degree: int, margin: int = 0,
     the words of that length; every relation has at most two terms, so the
     span collapses to a weighted union-find on words.
     """
-    pres = build_presentation(g, t)
     rules = []
-    for rel in pres.relations:
+    for rel in render_rules(build_presentation(g).rules, t):
         terms = rel.sorted_terms()
         lead, lead_coeff = terms[0]
         if len(terms) == 1:
@@ -524,11 +524,16 @@ class ReferenceResult:
     degree_bound: int
 
 
-def reference_buchberger(pres: Presentation, degree_bound=None) -> ReferenceResult:
-    """Completion with scalar Q(t)/Q arithmetic on whole polynomials."""
+def reference_buchberger(pres: Presentation, degree_bound=None, t=T) -> ReferenceResult:
+    """Completion with scalar arithmetic on whole polynomials, over Q(t) or at a rational t.
+
+    The relations are rendered at t (`T` for Q(t), a `Fraction` for Q), so
+    completing at a rational value checks that specialising t changes no
+    leading word.
+    """
     if degree_bound is None:
         degree_bound = 2 * pres.n + 8
-    alive, complete = _RefCompletion(pres.relations, degree_bound).run()
+    alive, complete = _RefCompletion(render_rules(pres.rules, t), degree_bound).run()
     return ReferenceResult(
         basis=tuple(NcPolynomial(e.terms) for e in alive),
         obstructions=frozenset(e.lead for e in alive),

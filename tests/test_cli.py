@@ -229,6 +229,30 @@ class TestWitness:
         assert capsys.readouterr().out.strip().splitlines()[-1] == "none"
 
 
+class TestParameter:
+    @pytest.mark.parametrize("t", ["abc", "1/0", "0", "1", "3/2"])
+    @pytest.mark.parametrize("command", [
+        ["classify", "K(2; 1-2)", "--method", "both"],
+        ["classify", "K(2; 1-2)", "--method", "theorem"],
+        ["classify", "K(2; 1-2)", "--method", "groebner"],
+        ["hilbert", "K(2; 1-2)", "4"],
+        ["gb", "K(2; 1-2)", "--dump"],
+        ["crossvalidate", "--max-leaves", "2"],
+        ["witness", "K(2; 1-2)"],
+    ], ids=["classify-both", "classify-theorem", "classify-groebner", "hilbert", "gb", "crossvalidate",
+            "witness"])
+    def test_bad_value_refused_before_any_stage(self, capsys, monkeypatch, command, t):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("an engine stage ran before --t was checked")
+
+        monkeypatch.setattr(report, "build_presentation", no_stage)
+        monkeypatch.setattr(report, "buchberger", no_stage)
+        assert run_cli(*command, "--t", t) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 class TestUnwritableJson:
     def test_missing_directory(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.json"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from tlstar.groebner import (
     reduce,
 )
 from tlstar.ncpoly import NcPolynomial
-from tlstar.presentation import Presentation, build_presentation
+from tlstar.presentation import Presentation, build_presentation, render_rules
 from tlstar.scalars import Polynomial, RationalFunction, T
 
 ONE = T / T
@@ -58,6 +59,13 @@ class TestReduce:
         basis = [nc({(1, 1): ONE, (1,): -ONE, (0,): ONE})]
         with pytest.raises(ValueError, match="not a binomial"):
             Rewriter(basis)
+
+    def test_nonzero_constant_reduces_everything_to_zero(self):
+        # A basis holding a nonzero constant generates the unit ideal: the
+        # empty word, which every word contains, reduces to zero.
+        basis = [nc({(1, 1): ONE, (1,): -T}), nc({(): T})]
+        for w in [(), (0,), (1, 1), (2, 0, 1)]:
+            assert reduce(nc({w: ONE}), basis) == NcPolynomial()
 
     @pytest.mark.parametrize("text", ["K(2; 1-2)", "K(3; 1-2,2-3)", "K(4; 1-2,3-4)"])
     def test_word_by_word_matches_largest_leftmost_on_relations(self, text):
@@ -143,26 +151,31 @@ class TestQuotientDimensionOracle:
     def test_all_classes_up_to_three_leaves(self, t):
         for n in (1, 2, 3):
             for g in enumerate_graphs(n):
-                res = buchberger(build_presentation(g, t))
+                res = buchberger(build_presentation(g))
                 aut = build_automaton(res.obstructions, n + 1)
                 prefix = hilbert_prefix(aut, 6)
                 cumulative = [sum(prefix[: k + 1]) for k in range(7)]
                 assert cumulative == quotient_dimensions(g, 6, t=t), str(g)
 
     def test_symbolic_matches_specialised_counts(self):
+        # The counts above are checked at rational t; they hold over Q(t)
+        # too, since completing over Q(t) and at t = 1/2 gives one
+        # obstruction set, the engine's.
         for g in enumerate_graphs(3):
-            sym = buchberger(build_presentation(g))
-            special = buchberger(build_presentation(g, Fraction(1, 2)))
-            assert sym.obstructions == special.obstructions
+            pres = build_presentation(g)
+            obs = buchberger(pres).obstructions
+            assert reference_buchberger(pres).obstructions == obs
+            assert reference_buchberger(pres, t=Fraction(1, 2)).obstructions == obs
 
 
 class TestTauIndependence:
     def test_obstructions_match_across_specialisations(self):
         for n in (1, 2, 3):
             for g in enumerate_graphs(n):
-                sym = buchberger(build_presentation(g, "symbolic")).obstructions
-                for t in ("1/2", "1/3", "2/3"):
-                    assert buchberger(build_presentation(g, t)).obstructions == sym, (str(g), t)
+                pres = build_presentation(g)
+                obs = buchberger(pres).obstructions
+                for t in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
+                    assert reference_buchberger(pres, t=t).obstructions == obs, (str(g), t)
 
 
 def random_scalar(rng: random.Random) -> RationalFunction:
@@ -227,39 +240,45 @@ class TestReductionProperties:
             assert len(forms) == 1
 
 
-def _same_completion(got, want):
+def _same_completion(got, want, t=T):
+    """The engine's result, rendered at t, against the oracle's completion at t."""
     assert got.obstructions == want.obstructions
     assert got.complete == want.complete
-    assert sorted(p.format() for p in got.basis) == sorted(p.format() for p in want.basis)
+    assert sorted(p.format() for p in render_rules(got.rules, t)) == sorted(p.format() for p in want.basis)
+
+
+# The engine runs once for every t; the oracle completes the relations
+# rendered at each t, over Q(t) and at t = 1/2.
+SCALARS = pytest.mark.parametrize("t", [T, Fraction(1, 2)], ids=["symbolic", "1/2"])
 
 
 class TestReferenceCompletion:
     """The tagged engine against the scalar-polynomial completion oracle."""
 
-    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
-    def test_every_class_up_to_five_leaves(self, mode):
+    @SCALARS
+    def test_every_class_up_to_five_leaves(self, t):
         for n in range(1, 6):
             for g in enumerate_graphs(n):
-                pres = build_presentation(g, mode)
-                _same_completion(buchberger(pres), reference_buchberger(pres))
+                pres = build_presentation(g)
+                _same_completion(buchberger(pres), reference_buchberger(pres, t=t), t)
 
-    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
+    @SCALARS
     @pytest.mark.parametrize("text", [
         "K(5; 1-2,2-3,4-5)",
         "K(4; 1-2,2-3,3-4,1-4)",
         "K(4; 1-2,1-3,1-4,2-3,2-4,3-4)",
     ])
-    def test_every_truncation(self, text, mode):
+    def test_every_truncation(self, text, t):
         g = parse_graph(text)
-        pres = build_presentation(g, mode)
+        pres = build_presentation(g)
         for bound in range(3, 2 * g.n + 9):
-            _same_completion(buchberger(pres, bound), reference_buchberger(pres, bound))
+            _same_completion(buchberger(pres, bound), reference_buchberger(pres, bound, t), t)
 
-    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
-    def test_alphabet_beyond_byte_range(self, mode):
+    @SCALARS
+    def test_alphabet_beyond_byte_range(self, t):
         # Leaves renumbered past 255, in order, so deglex order is kept and
         # overlap words can no longer be held as bytes.
-        pres = build_presentation(parse_graph("K(4; 1-2,2-3,3-4,1-4)"), mode)
+        pres = build_presentation(parse_graph("K(4; 1-2,2-3,3-4,1-4)"))
         shift = {0: 0, **{k: k + 296 for k in range(1, 5)}}
 
         def lift(w):
@@ -267,19 +286,18 @@ class TestReferenceCompletion:
 
         rules = tuple((lift(lead), None if rhs is None else (rhs[0], rhs[1], lift(rhs[2])))
                       for lead, rhs in pres.rules)
-        big = Presentation(n=300, rules=rules, t=pres.t, mode=pres.mode)
+        big = Presentation(n=300, rules=rules)
         res = buchberger(big)
-        _same_completion(res, reference_buchberger(big))
+        _same_completion(res, reference_buchberger(big, t=t), t)
         assert res.obstructions == {lift(w) for w in buchberger(pres).obstructions}
 
-    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
     @pytest.mark.parametrize("text", ["K(4; 1-2,2-3,3-4,1-4)", "K(5; 1-2,2-3,4-5)"])
     @pytest.mark.parametrize("bound", [5, None])
-    def test_wide_alphabet_equals_byte_words(self, text, mode, bound):
+    def test_wide_alphabet_equals_byte_words(self, text, bound):
         # Completion holds words as bytes when every letter fits in a byte
         # and as tuples otherwise; the same rules renumbered past 255 must
         # complete to the same result, counters included.
-        pres = build_presentation(parse_graph(text), mode)
+        pres = build_presentation(parse_graph(text))
         bound = check_degree_bound(pres, bound)
         shift = {0: 0, **{k: k + 296 for k in range(1, pres.n + 1)}}
         unshift = {v: k for k, v in shift.items()}
@@ -293,7 +311,7 @@ class TestReferenceCompletion:
                 for lead, rhs in rules
             )
 
-        big = Presentation(n=300, rules=relabel_rules(pres.rules, shift), t=pres.t, mode=pres.mode)
+        big = Presentation(n=300, rules=relabel_rules(pres.rules, shift))
         assert big.alphabet_size() > 256
         got, want = buchberger(big, bound), buchberger(pres, bound)
         assert relabel_rules(got.rules, unshift) == want.rules
@@ -303,11 +321,23 @@ class TestReferenceCompletion:
     def test_tag_mismatch_makes_zero_rule(self):
         # p1 p1 = t p1 and p1 p1 = p1 give (1 - t) p1 = 0, hence p1 = 0.
         rules = (((1, 1), (1, 1, (1,))), ((1, 1), (1, 0, (1,))))
-        pres = Presentation(n=1, rules=rules, t=T, mode="symbolic")
+        pres = Presentation(n=1, rules=rules)
         assert pres.relations == (nc({(1, 1): ONE, (1,): -T}), nc({(1, 1): ONE, (1,): -ONE}))
         res = buchberger(pres)
         _same_completion(res, reference_buchberger(pres))
         assert res.obstructions == {(1,)} and res.complete
+
+
+class TestUnitIdeal:
+    def test_empty_lead_withdraws_every_rule(self):
+        # p2 p2 = t and p2 p2 p2 = 1 give p2 = 1/t and then t = 1/t^2, so
+        # the ideal holds 1: one rule, () -> 0, whatever the order and bound.
+        rules = (((0, 2, 1), None), ((2, 2), (1, 1, ())), ((2, 2, 2), (1, 0, ())))
+        for order in itertools.permutations(rules):
+            for bound in range(5, 10):
+                res = buchberger(Presentation(n=2, rules=order), bound)
+                assert res.rules == (((), None),), (order, bound)
+                assert res.obstructions == {()} and res.complete
 
 
 def _fully_dashed(n):
@@ -318,15 +348,16 @@ class TestPrimeOverlaps:
     """Skipping composite overlaps leaves every completion as the oracle's."""
 
     def test_fully_dashed_six_leaves(self):
-        pres = build_presentation(_fully_dashed(6), "1/2")
+        pres = build_presentation(_fully_dashed(6))
         res = buchberger(pres)
-        _same_completion(res, reference_buchberger(pres))
+        _same_completion(res, reference_buchberger(pres, t=Fraction(1, 2)), Fraction(1, 2))
         assert res.stats.pairs_composite > 0
 
     def test_fully_dashed_five_leaves_every_truncation(self):
-        pres = build_presentation(_fully_dashed(5), "1/2")
+        pres = build_presentation(_fully_dashed(5))
         for bound in range(3, 19):
-            _same_completion(buchberger(pres, bound), reference_buchberger(pres, bound))
+            want = reference_buchberger(pres, bound, Fraction(1, 2))
+            _same_completion(buchberger(pres, bound), want, Fraction(1, 2))
 
 
 class TestCompletionStats:
@@ -335,37 +366,34 @@ class TestCompletionStats:
     ])
     @pytest.mark.parametrize("bound", [5, None])
     def test_every_popped_pair_accounted_for(self, text, bound):
-        s = buchberger(build_presentation(parse_graph(text), "1/2"), bound).stats
+        s = buchberger(build_presentation(parse_graph(text)), bound).stats
         assert s.pairs_popped == s.pairs_enqueued
         assert s.pairs_popped == s.pairs_dead + s.pairs_composite + s.pairs_to_zero + s.pairs_inserted
 
     def test_fully_dashed_four_leaves(self):
         # Seeded from the fully dashed K3 card, shared by all four leaves,
         # which is itself seeded from K2, which is seeded from K1.
-        for mode in ("symbolic", "1/2"):
-            res = buchberger(build_presentation(_fully_dashed(4), mode))
-            s = res.stats
-            assert s.pairs_composite == 104
-            assert (s.pairs_popped, s.pairs_to_zero, s.pairs_inserted) == (194, 86, 4)
-            assert (s.pairs_in_card, s.cards_completed) == (409, 3)
-            assert s.pairs_over_bound == 0 and s.peak_live_rules == len(res.rules) == 47
+        res = buchberger(build_presentation(_fully_dashed(4)))
+        s = res.stats
+        assert s.pairs_composite == 104
+        assert (s.pairs_popped, s.pairs_to_zero, s.pairs_inserted) == (194, 86, 4)
+        assert (s.pairs_in_card, s.cards_completed) == (409, 3)
+        assert s.pairs_over_bound == 0 and s.peak_live_rules == len(res.rules) == 47
 
-    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
-    def test_fully_dashed_six_leaves(self, mode):
+    def test_fully_dashed_six_leaves(self):
         # Composite pairs are counted where they are found, at push or at
         # pop; an overlap probe that misses a position shows up here first.
-        res = buchberger(build_presentation(_fully_dashed(6), mode))
+        res = buchberger(build_presentation(_fully_dashed(6)))
         s = res.stats
         assert s.pairs_enqueued == s.pairs_popped == 2_258
         assert (s.pairs_composite, s.pairs_to_zero, s.pairs_inserted) == (1_812, 440, 6)
         assert (s.pairs_in_card, s.cards_completed) == (8_437, 5)
         assert s.peak_live_rules == 220
 
-    @pytest.mark.parametrize("mode", ["symbolic", "1/2"])
-    def test_no_repeated_card(self, mode):
+    def test_no_repeated_card(self):
         # No two cards of this graph relabel to the same rules, so nothing
         # is seeded and the run is the unseeded completion, pair for pair.
-        res = buchberger(build_presentation(parse_graph("K(5; 1-2,1-3,1-4,1-5,2-3,2-4,3-5)"), mode))
+        res = buchberger(build_presentation(parse_graph("K(5; 1-2,1-3,1-4,1-5,2-3,2-4,3-5)")))
         s = res.stats
         assert s.pairs_enqueued == s.pairs_popped == 595
         assert (s.pairs_composite, s.pairs_to_zero, s.pairs_inserted) == (138, 431, 26)
@@ -379,7 +407,7 @@ class TestCompletionStats:
     def test_withdrawals_counted(self):
         # p1 p1 -> t p1 is withdrawn when p1 -> 0 arrives.
         rules = (((1, 1), (1, 1, (1,))), ((1, 1), (1, 0, (1,))))
-        s = buchberger(Presentation(n=1, rules=rules, t=T, mode="symbolic")).stats
+        s = buchberger(Presentation(n=1, rules=rules)).stats
         assert s.rules_withdrawn == 1
 
     def test_not_in_json(self):
@@ -416,11 +444,10 @@ class TestDeckSeeding:
         return res
 
     def test_every_class_up_to_five_leaves(self):
-        # The rules do not depend on t, so one mode covers both.
         seeded = 0
         for n in range(1, 6):
             for g in enumerate_graphs(n):
-                res = self._same_as_unseeded(build_presentation(g, "1/2"))
+                res = self._same_as_unseeded(build_presentation(g))
                 seeded += res.stats.pairs_in_card > 0
         assert seeded > 0
 
@@ -429,7 +456,7 @@ class TestDeckSeeding:
         # A truncated result is the unseeded run's: it never skips a pair
         # for a shared card.
         g = parse_graph(text)
-        pres = build_presentation(g, "1/2")
+        pres = build_presentation(g)
         truncated = 0
         for bound in range(3, 2 * g.n + 9):
             res = self._same_as_unseeded(pres, bound)
@@ -439,7 +466,7 @@ class TestDeckSeeding:
         assert truncated > 0
 
     def test_fully_dashed_six_leaves(self):
-        res = self._same_as_unseeded(build_presentation(_fully_dashed(6), "1/2"))
+        res = self._same_as_unseeded(build_presentation(_fully_dashed(6)))
         assert res.complete and res.stats.pairs_in_card > 0
 
     @pytest.mark.parametrize("rules", [
@@ -452,7 +479,7 @@ class TestDeckSeeding:
         # p2 relabel to equal rules, which map back to two right-hand sides
         # for p0 p0.  Star presentations never do this; other rules may.
         n = max(max(lead + rhs[2]) for lead, rhs in rules)
-        pres = Presentation(n=n, rules=rules, t=T, mode="symbolic")
+        pres = Presentation(n=n, rules=rules)
         res = self._same_as_unseeded(pres)
         _same_completion(res, reference_buchberger(pres))
         assert res.stats.cards_completed > 0 and res.stats.pairs_in_card == 0
@@ -462,7 +489,7 @@ class TestDeckSeeding:
         # Every card's finished rules, mapped back to its letters: a lead
         # two cards share has one right-hand side, and the leads form an
         # antichain, so the seeds go in as rules without any reduction.
-        pres = build_presentation(parse_graph(text), "1/2")
+        pres = build_presentation(parse_graph(text))
         bound = check_degree_bound(pres)
         union = {}
         for kept, card in _cards(_byte_rules(pres)):

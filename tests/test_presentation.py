@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from oracles import relabel
 from test_graphs import stars_with_permutation
 from tlstar.graphs import parse_graph
 from tlstar.ncpoly import NcPolynomial
-from tlstar.presentation import build_presentation, parameter_label
+from tlstar.presentation import Presentation, build_presentation, parameter, render_rules
 from tlstar.scalars import RationalFunction
 
 
@@ -79,32 +80,39 @@ class TestRelationContent:
 class TestParameterModes:
     @pytest.mark.parametrize("text", ["K(1;)", "K(3; 1-2)", "K(5; 1-2,2-3,4-5)"])
     def test_rules_do_not_depend_on_t(self, text):
-        g = parse_graph(text)
-        rules = build_presentation(g).rules
-        assert build_presentation(g, "1/2").rules == rules
-        assert build_presentation(g, "1/3").rules == rules
+        # The presentation holds no value of t; rendering at a rational t
+        # is the Q(t) rendering with t evaluated there, term by term.
+        pres = build_presentation(parse_graph(text))
+        assert [f.name for f in fields(Presentation)] == ["n", "rules"]
+        for value in (Fraction(1, 2), Fraction(1, 3)):
+            special = render_rules(pres.rules, value)
+            assert [p.terms for p in special] == [
+                {w: c.evaluate(value) for w, c in p.terms.items()} for p in pres.relations
+            ]
 
     def test_symbolic_default(self):
+        assert parameter() == parameter("symbolic") == (RationalFunction.t(), "symbolic")
         pres = build_presentation(parse_graph("K(1;)"))
-        assert pres.symbolic and pres.t == RationalFunction.t()
+        assert pres.relations == render_rules(pres.rules, RationalFunction.t())
 
     def test_specialised(self):
-        pres = build_presentation(parse_graph("K(1;)"), "1/2")
-        assert not pres.symbolic and pres.t == Fraction(1, 2)
-        assert pres.mode == "t=1/2"
+        assert parameter("1/2") == (Fraction(1, 2), "t=1/2")
+        rules = build_presentation(parse_graph("K(1;)")).rules
+        assert [p.format() for p in render_rules(rules, Fraction(1, 2))][2:] == [
+            "p1 p0 p1 - 1/2*p1",
+            "p0 p1 p0 - 1/2*p0",
+        ]
 
     @pytest.mark.parametrize("bad", ["0", "1", "5/4", "-1/2", Fraction(7, 3), "abc"])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
-            build_presentation(parse_graph("K(1;)"), bad)
-        with pytest.raises(ValueError):
-            parameter_label(bad)
+            parameter(bad)
 
     @pytest.mark.parametrize("mode, label", [
         ("symbolic", "symbolic"), (None, "symbolic"), ("2/4", "t=1/2"), ("0.25", "t=1/4"),
     ])
     def test_label_in_lowest_terms(self, mode, label):
-        assert parameter_label(mode) == label
+        assert parameter(mode)[1] == label
 
 
 @given(stars_with_permutation(max_n=4))

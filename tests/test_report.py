@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tlstar import groebner, presentation
+from tlstar import automaton, groebner, presentation
 from tlstar.automaton import build_automaton
 from tlstar.graphs import parse_graph
 from tlstar.groebner import buchberger
@@ -15,14 +15,16 @@ class TestRunEngine:
     @pytest.mark.parametrize("t_mode", ["symbolic", "1/2"])
     @pytest.mark.parametrize("text", ["K(3; 1-2,1-3,2-3)", "K(4; 1-2,3-4)", "K(5; 1-2,2-3,4-5)"])
     def test_matches_hand_chain(self, text, t_mode):
+        # The engine takes no t; analyze at any t runs the same engine.
         g = parse_graph(text)
-        pres = build_presentation(g, t_mode)
+        pres = build_presentation(g)
         result = buchberger(pres)
         aut = build_automaton(result.obstructions, pres.alphabet_size())
-        run = run_engine(g, t_mode)
-        assert run.groebner == result
-        assert run.automaton == aut
-        assert run.growth == classify_growth(aut, complete=result.complete)
+        growth = classify_growth(aut, complete=result.complete)
+        run = run_engine(g)
+        assert (run.groebner, run.automaton, run.growth) == (result, aut, growth)
+        r = analyze(g, method="groebner", t_mode=t_mode)
+        assert (r.groebner, r.automaton, r.growth) == (result, aut, growth)
 
     def test_automaton_built_only_when_read(self):
         run = run_engine(parse_graph("K(4; 1-2,3-4)"))
@@ -60,6 +62,20 @@ class TestNoRendering:
 
 
 class TestAnalyze:
+    def test_one_component_search_per_automaton(self, monkeypatch):
+        # Growth and the free-pair search read one structure off the automaton.
+        calls = []
+        scc = automaton._strongly_connected_components
+
+        def counted(edges):
+            calls.append(len(edges))
+            return scc(edges)
+
+        monkeypatch.setattr(automaton, "_strongly_connected_components", counted)
+        r = analyze(parse_graph("K(5; 1-2,2-3,4-5)"))
+        assert r.growth.coarse == "exponential" and r.free_pair is not None
+        assert calls == [r.automaton.live_state_count()]
+
     def test_both_methods_populate_everything(self):
         r = analyze(parse_graph("K(5; 1-2,2-3,4-5)"))
         assert r.theorem.coarse == "exponential"
