@@ -360,6 +360,12 @@ class TestPrimeOverlaps:
             _same_completion(buchberger(pres, bound), want, Fraction(1, 2))
 
 
+def _renders_monic(rules, t):
+    """The completion is t-free: rendered at t, each rule is monic with its own lead."""
+    got = [(p.leading_word(), p.leading_coefficient()) for p in render_rules(rules, t)]
+    assert got == [(lead, t / t) for lead, _ in rules]
+
+
 class TestCompletionStats:
     @pytest.mark.parametrize("text", [
         "K(1;)", "K(5; 1-2,2-3,4-5)", "K(4; 1-2,2-3,3-4,1-4)", "K(4; 1-2,1-3,1-4,2-3,2-4,3-4)",
@@ -380,7 +386,8 @@ class TestCompletionStats:
         assert (s.pairs_in_card, s.cards_completed) == (409, 3)
         assert s.pairs_over_bound == 0 and s.peak_live_rules == len(res.rules) == 47
 
-    def test_fully_dashed_six_leaves(self):
+    @SCALARS
+    def test_fully_dashed_six_leaves(self, t):
         # Composite pairs are counted where they are found, at push or at
         # pop; an overlap probe that misses a position shows up here first.
         res = buchberger(build_presentation(_fully_dashed(6)))
@@ -389,8 +396,10 @@ class TestCompletionStats:
         assert (s.pairs_composite, s.pairs_to_zero, s.pairs_inserted) == (1_812, 440, 6)
         assert (s.pairs_in_card, s.cards_completed) == (8_437, 5)
         assert s.peak_live_rules == 220
+        _renders_monic(res.rules, t)
 
-    def test_no_repeated_card(self):
+    @SCALARS
+    def test_no_repeated_card(self, t):
         # No two cards of this graph relabel to the same rules, so nothing
         # is seeded and the run is the unseeded completion, pair for pair.
         res = buchberger(build_presentation(parse_graph("K(5; 1-2,1-3,1-4,1-5,2-3,2-4,3-5)")))
@@ -399,6 +408,7 @@ class TestCompletionStats:
         assert (s.pairs_composite, s.pairs_to_zero, s.pairs_inserted) == (138, 431, 26)
         assert (s.pairs_in_card, s.cards_completed) == (0, 0)
         assert s.peak_live_rules == len(res.rules) == 55
+        _renders_monic(res.rules, t)
 
     def test_truncation_counts_pairs_over_bound(self):
         s = buchberger(build_presentation(parse_graph("K(5; 1-2,2-3,4-5)")), degree_bound=3).stats
