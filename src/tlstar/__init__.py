@@ -12,7 +12,7 @@ Every defining relation is a binomial with coefficient ratio in {+-1, +-t},
 so the presentation is a list of (sign, t-exponent) tagged rules read off
 the graph, and completion runs on those tags instead of scalars.  The rules
 and every result computed from them are the same for every value of t, so
-no engine entry point takes one.  Scalars appear only in rendering, over
+no library function takes one; the command line alone parses --t.  Scalars appear only in rendering, over
 Q(t) when `Presentation.relations` or `GroebnerResult.basis` is first read
 and over Q by `render_rules` at a rational t, and in `Rewriter`/`reduce`.
 `run_engine` is the one pipeline from a graph to its growth.  All results

@@ -8,8 +8,9 @@ failed witness check, or an exponential-branch graph in which the theorem
 finds no witness).
 JSON output is schema-stable and byte-deterministic for fixed inputs and
 flags; wall-clock timings are only emitted behind --timings.
---t is checked before any stage runs.  It only labels output and sets the
-value at which gb --dump renders the basis: one engine run serves every t.
+--t is parsed here and nowhere else, before any stage runs.  It only labels
+output and sets the value at which gb --dump renders the basis: one engine
+run serves every t, and the library takes no value of t.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import errno
 import json
 import os
 import sys
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -28,13 +30,15 @@ from .graphs import enumerate_graphs, parse_graph
 from .groebner import buchberger  # noqa: F401
 from .growth import find_free_pair_violation, free_pair_window_bound, search_free_pair
 from .ncpoly import format_word, parse_word
-from .presentation import build_presentation, parameter, render_rules  # noqa: F401
-from .report import analyze, cross_validate, run_engine
+from .presentation import build_presentation, render_rules  # noqa: F401
+from .report import DEFAULT_HILBERT_DEGREE, analyze, cross_validate, run_engine
+from .scalars import RationalFunction
 
 __all__ = ["main"]
 
 OK, USAGE_ERROR, DISCREPANCY = 0, 1, 2
 DEFAULT_HILBERT_CAP = 200
+SYMBOLIC = "symbolic"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,25 +72,37 @@ def _write_json(path: str, payload: dict) -> None:
         raise SystemExit(_usage_error(f"cannot write {path}: {exc.strerror or exc}")) from None
 
 
+def parameter(mode: str) -> tuple[object, str]:
+    """(value, label) of a --t mode, for `render_rules` and output.
+
+    "symbolic" gives Q(t)'s generator and the label "symbolic"; a rational
+    p/q strictly between 0 and 1 gives that `Fraction` and the label
+    "t=p/q" in lowest terms.  Raises ValueError for anything else.
+    """
+    if mode == SYMBOLIC:
+        return RationalFunction.t(), SYMBOLIC
+    try:
+        value = Fraction(mode)
+    except ZeroDivisionError:
+        raise ValueError(f"specialised parameter {mode} has a zero denominator") from None
+    if not (0 < value < 1):
+        raise ValueError(f"specialised parameter must lie strictly between 0 and 1, got {value}")
+    return value, f"t={value}"
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree-bound", type=int, default=None, metavar="N",
                    help="completion degree bound (default 2n + 8)")
-    p.add_argument("--t", default="symbolic", metavar="MODE",
+    p.add_argument("--t", default=SYMBOLIC, metavar="MODE",
                    help="'symbolic' (default) or a rational in (0,1) such as 1/2; only labels and renders")
 
 
 def _cmd_classify(args) -> int:
     g = parse_graph(args.graph)
-    report = analyze(
-        g,
-        method=args.method,
-        degree_bound=args.degree_bound,
-        t_mode=args.t,
-        max_degree=args.max_degree,
-    )
+    report = analyze(g, method=args.method, degree_bound=args.degree_bound, max_degree=args.max_degree)
     print(f"graph:    {g}")
     print(f"pruned:   {report.pruned}  (removed leaves: {list(report.removed_leaves) or 'none'})")
-    print(f"nu:       {report.nu}")
+    print(f"nu:       {report.theorem.nu}")
     v = report.theorem
     print(f"theorem:  {v.coarse}  branch {v.branch}")
     if v.witness is not None:
@@ -115,7 +131,9 @@ def _cmd_classify(args) -> int:
     else:
         print("no discrepancies")
     if args.json:
-        _write_json(args.json, report.to_json_dict(include_timings=args.timings))
+        payload = report.to_json_dict(include_timings=args.timings)
+        payload["t"] = args.t_label
+        _write_json(args.json, payload)
     return DISCREPANCY if report.discrepancy else OK
 
 
@@ -175,7 +193,7 @@ def _cmd_crossvalidate(args) -> int:
             f"max leaves {args.max_leaves} needs --allow-large (sweeps beyond 6 are expensive)"))
     if args.max_leaves > 7:
         raise SystemExit(_usage_error("enumeration of classes is available up to 7 leaves"))
-    sweep = cross_validate(args.max_leaves, degree_bound=args.degree_bound, t_mode=args.t)
+    sweep = cross_validate(args.max_leaves, degree_bound=args.degree_bound)
     print(f"classes up to {args.max_leaves} leaves: {len(sweep.rows)} "
           f"({sweep.engine_runs} distinct pruned classes run through the engine)")
     matrix = sweep.agreement_matrix()
@@ -190,7 +208,9 @@ def _cmd_crossvalidate(args) -> int:
               f"engine={row.engine_growth.coarse} gk={row.engine_growth.gk_degree} "
               f"complete={row.complete} nu_violations={row.nu_violations}")
     if args.json:
-        _write_json(args.json, sweep.to_json_dict())
+        payload = sweep.to_json_dict()
+        payload["t"] = args.t_label
+        _write_json(args.json, payload)
     return OK if sweep.all_agree and sweep.all_complete else DISCREPANCY
 
 
@@ -203,6 +223,9 @@ def _cmd_witness(args) -> int:
             if outside:
                 raise ValueError(f"letter {outside[0]} in block {','.join(map(str, q))} "
                                  f"is outside the alphabet 0..{g.n}")
+        find_free_pair_violation(q1, q2, frozenset())  # refuses empty or equal blocks before completion
+    elif args.max_block_len < 2:
+        raise ValueError("max_block_len must be at least 2")
     run = run_engine(g, args.degree_bound)
     result = run.groebner
     if not result.complete:
@@ -276,7 +299,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="classify growth by both methods and reconcile")
     p.add_argument("graph", help="graph text, e.g. \"K(5; 1-2,2-3,4-5)\"")
     p.add_argument("--method", choices=("both", "theorem", "groebner"), default="both")
-    p.add_argument("--max-degree", type=int, default=12, metavar="N",
+    p.add_argument("--max-degree", type=int, default=DEFAULT_HILBERT_DEGREE, metavar="N",
                    help="length of the reported normal-word count prefix")
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings in JSON")

@@ -10,14 +10,12 @@ sign * t**exp * word`` or ``lead -> 0``.  The rules carry no value of t:
 they are the same for every t, and so is everything computed from them.
 `render_rules` is the one place a value of t enters: it turns rules into
 polynomials over Q(t), or over Q at a rational t, and
-`Presentation.relations` renders over Q(t) on first read.  `parameter`
-checks a parameter mode and gives its value and label.
+`Presentation.relations` renders over Q(t) on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -25,9 +23,7 @@ from .graphs import TwoColoredStar
 from .ncpoly import NcPolynomial, Word
 from .scalars import RationalFunction
 
-__all__ = ["Presentation", "build_presentation", "parameter", "render_rules"]
-
-SYMBOLIC = "symbolic"
+__all__ = ["Presentation", "build_presentation", "render_rules"]
 
 # (lead, rhs): rhs (sign, exp, word) for lead -> sign * t**exp * word, None for lead -> 0.
 Rule = tuple[Word, Optional[tuple[int, int, Word]]]
@@ -66,24 +62,6 @@ class Presentation:
 
     def format(self) -> str:
         return "\n".join(rel.format() + " = 0" for rel in self.relations)
-
-
-def parameter(mode=SYMBOLIC) -> tuple[object, str]:
-    """(value, label) of a parameter mode, for `render_rules` and output.
-
-    "symbolic" (or None) gives Q(t)'s generator and the label "symbolic"; a
-    rational p/q strictly between 0 and 1 gives that `Fraction` and the
-    label "t=p/q" in lowest terms.  Raises ValueError for anything else.
-    """
-    if mode is None or mode == SYMBOLIC:
-        return RationalFunction.t(), SYMBOLIC
-    try:
-        value = Fraction(mode)
-    except ZeroDivisionError:
-        raise ValueError(f"specialised parameter {mode} has a zero denominator") from None
-    if not (0 < value < 1):
-        raise ValueError(f"specialised parameter must lie strictly between 0 and 1, got {value}")
-    return value, f"t={value}"
 
 
 def build_presentation(g: TwoColoredStar) -> Presentation:

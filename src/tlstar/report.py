@@ -1,11 +1,11 @@
 """The engine pipeline, end-to-end analysis of one graph, and the exhaustive sweep.
 
 `run_engine` is the one path from a graph to its growth: presentation,
-completion, avoidance automaton, growth class.  It takes no value of t:
-the rules and everything computed from them are the same for every t, so
-`analyze` and `cross_validate` only check a parameter mode and echo its
-label.  A full analysis runs the graph-theoretic classifier (always) and
-the engine (unless asked not to), then reconciles the two: any
+completion, avoidance automaton, growth class.  Nothing here takes a
+value of t: the rules and everything computed from them are the same for
+every t, so one analysis serves every t, and the reports hold no label of
+it.  A full analysis runs the graph-theoretic classifier (always) and the
+engine (unless asked not to), then reconciles the two: any
 coarse-growth mismatch, violated component-count condition, or truncated
 completion raises a discrepancy flag that drives the CLI exit code.  The
 sweep applies the same reconciliation to every isomorphism class up to a
@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .groebner import GroebnerResult, buchberger, check_degree_bound
 from .growth import FreePairCertificate, GrowthClass, classify_growth, search_free_pair
-from .presentation import Presentation, build_presentation, parameter
+from .presentation import Presentation, build_presentation
 
 __all__ = ["AnalysisReport", "EngineRun", "SweepResult", "analyze", "cross_validate", "run_engine"]
 
@@ -81,9 +81,7 @@ class AnalysisReport:
     graph: TwoColoredStar
     pruned: TwoColoredStar
     removed_leaves: tuple[int, ...]
-    nu: int
     method: str
-    t_mode: str
     theorem: TheoremVerdict
     nu_violations: list[str]
     groebner: Optional[GroebnerResult] = None
@@ -103,9 +101,8 @@ class AnalysisReport:
             "graph": self.graph.to_json_dict(),
             "pruned": self.pruned.to_json_dict(),
             "removed_leaves": list(self.removed_leaves),
-            "nu": self.nu,
+            "nu": self.theorem.nu,
             "method": self.method,
-            "t": self.t_mode,
             "theorem": self.theorem.to_json_dict(),
             "nu_violations": list(self.nu_violations),
             "groebner": None if self.groebner is None else self.groebner.to_json_dict(),
@@ -126,17 +123,11 @@ def analyze(
     g: TwoColoredStar,
     method: str = "both",
     degree_bound: Optional[int] = None,
-    t_mode="symbolic",
     max_degree: int = DEFAULT_HILBERT_DEGREE,
-    search_blocks: int = DEFAULT_SEARCH_BLOCKS,
 ) -> AnalysisReport:
-    """Run the requested classifiers on g and reconcile their verdicts.
-
-    t_mode is only checked and labelled: no stage depends on t.
-    """
+    """Run the requested classifiers on g and reconcile their verdicts."""
     if method not in ("both", "theorem", "groebner"):
         raise ValueError(f"unknown method {method!r}")
-    _, t_label = parameter(t_mode)
     check_max_degree(max_degree)
     if method == "theorem":
         # The engine checks the bound before completing; without it, check it here.
@@ -149,9 +140,7 @@ def analyze(
         graph=g,
         pruned=pruned,
         removed_leaves=removed,
-        nu=verdict.nu,
         method=method,
-        t_mode=t_label,
         theorem=verdict,
         nu_violations=nu_violations,
     )
@@ -168,7 +157,7 @@ def analyze(
         report.hilbert = hilbert_prefix(aut, max_degree)
         growth = report.growth = run.growth
         if growth.coarse == "exponential" and result.complete:
-            report.free_pair = search_free_pair(aut, search_blocks)
+            report.free_pair = search_free_pair(aut, DEFAULT_SEARCH_BLOCKS)
         report.timings["automaton_s"] = time.perf_counter() - t0
 
         if not result.complete:
@@ -184,7 +173,6 @@ def analyze(
 class SweepRow:
     graph: TwoColoredStar
     pruned: TwoColoredStar
-    nu: int
     theorem: TheoremVerdict
     engine_growth: GrowthClass
     complete: bool
@@ -199,7 +187,7 @@ class SweepRow:
             "graph": self.graph.to_json_dict(),
             "text": str(self.graph),
             "pruned": str(self.pruned),
-            "nu": self.nu,
+            "nu": self.theorem.nu,
             "theorem": {"coarse": self.theorem.coarse, "branch": self.theorem.branch},
             "engine": {
                 "coarse": self.engine_growth.coarse,
@@ -217,7 +205,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     max_leaves: int
-    t_mode: str
     rows: list[SweepRow]
     engine_runs: int
 
@@ -242,7 +229,6 @@ class SweepResult:
     def to_json_dict(self) -> dict:
         return {
             "max_leaves": self.max_leaves,
-            "t": self.t_mode,
             "class_count": len(self.rows),
             "engine_runs": self.engine_runs,
             "all_agree": self.all_agree,
@@ -252,23 +238,17 @@ class SweepResult:
         }
 
 
-def cross_validate(
-    max_leaves: int,
-    degree_bound: Optional[int] = None,
-    t_mode="symbolic",
-) -> SweepResult:
+def cross_validate(max_leaves: int, degree_bound: Optional[int] = None) -> SweepResult:
     """Compare structural and engine growth on every class with n <= max_leaves.
 
     Engine results are computed once per isomorphism class of the pruned
     graph (growth is invariant under pruning and relabelling, which the
     test suite checks separately) and reused across rows.  Only (growth,
     complete) is kept per class, so memory stays flat over the sweep.
-    t_mode is only checked and labelled.  Raises ValueError unless
-    max_leaves >= 1.
+    Raises ValueError unless max_leaves >= 1.
     """
     if max_leaves < 1:
         raise ValueError(f"max leaves must be at least 1, got {max_leaves}")
-    _, t_label = parameter(t_mode)
     engine_cache: dict = {}
     rows: list[SweepRow] = []
     for n in range(1, max_leaves + 1):
@@ -286,11 +266,10 @@ def cross_validate(
                 SweepRow(
                     graph=g,
                     pruned=pruned,
-                    nu=verdict.nu,
                     theorem=verdict,
                     engine_growth=growth,
                     complete=complete,
                     nu_violations=check_nu_conditions(g, verdict),
                 )
             )
-    return SweepResult(max_leaves=max_leaves, t_mode=t_label, rows=rows, engine_runs=len(engine_cache))
+    return SweepResult(max_leaves=max_leaves, rows=rows, engine_runs=len(engine_cache))

@@ -8,8 +8,9 @@ each transition by rescanning every suffix instead of the package's one
 Aho-Corasick pass, quotient dimensions come from linear algebra over
 two-term relation instances (a weighted union-find, since every defining
 relation has at most two terms), isomorphism classes are rebuilt by raw
-permutation search (`atlas_classes` takes them from the networkx atlas
-and finds each least relabelling the same way), and
+permutation search (`least_relabelling` tries every permutation, and
+`atlas_classes` takes the classes from the networkx atlas and relabels
+each that way), and
 `reference_buchberger` completes relations with plain scalar polynomial
 arithmetic instead of the package's tagged binomial rules, and
 `reference_reduce` reduces whole polynomials under a choice of rewriting
@@ -285,19 +286,22 @@ def atlas_classes(n: int) -> list[TwoColoredStar]:
     import pytest
 
     nx = pytest.importorskip("networkx")
-    leaves = range(1, n + 1)
     reps = []
     for graph in nx.graph_atlas_g():
         if graph.number_of_nodes() != n:
             continue
-        edges = [(u + 1, v + 1) for u, v in graph.edges()]
-        best = min(
-            sorted((min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1])) for i, j in edges)
-            for perm in itertools.permutations(leaves)
-        )
-        reps.append(TwoColoredStar(n, best))
+        reps.append(least_relabelling(TwoColoredStar(n, [(u + 1, v + 1) for u, v in graph.edges()])))
     reps.sort(key=TwoColoredStar.sorted_dashed)
     return reps
+
+
+def least_relabelling(g: TwoColoredStar) -> TwoColoredStar:
+    """The relabelling of g with the lexicographically least sorted edge list, by trying every permutation."""
+    best = min(
+        sorted((min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1])) for i, j in g.dashed)
+        for perm in itertools.permutations(range(1, g.n + 1))
+    )
+    return TwoColoredStar(g.n, best)
 
 
 def _permutation_isomorphic(g1: TwoColoredStar, g2: TwoColoredStar) -> bool:
@@ -325,21 +329,34 @@ class _RefEntry:
 
 
 class _RefLeadIndex:
-    """Leading words grouped by first letter, sorted by (length, id)."""
+    """Leading words grouped by first letter, sorted by (length, id).
+
+    An empty leading word is kept apart: it occurs in every word, the empty
+    word included, so it rewrites every word to zero.
+    """
 
     def __init__(self):
         self.by_letter = defaultdict(list)
+        self.empty = None
 
     def add(self, entry):
+        if not entry.lead:
+            self.empty = entry
+            return
         bucket = self.by_letter[entry.lead[0]]
         bucket.append(entry)
         bucket.sort(key=lambda e: (len(e.lead), e.id))
 
     def remove(self, entry):
+        if not entry.lead:
+            self.empty = None
+            return
         self.by_letter[entry.lead[0]].remove(entry)
 
     def find(self, w):
         """Leftmost occurrence of any leading word inside w."""
+        if self.empty is not None:
+            return 0, self.empty
         for pos in range(len(w)):
             for e in self.by_letter.get(w[pos], ()):
                 ll = len(e.lead)
@@ -351,6 +368,8 @@ class _RefLeadIndex:
 
     def find_rightmost(self, w):
         """Rightmost occurrence of any leading word inside w."""
+        if self.empty is not None:
+            return len(w), self.empty
         for pos in range(len(w) - 1, -1, -1):
             for e in self.by_letter.get(w[pos], ()):
                 ll = len(e.lead)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tlstar import classifier, cli, report
-from tlstar.cli import main
+from tlstar.cli import main, parameter
+from tlstar.scalars import RationalFunction
 
 FULLY_DASHED_K7 = "K(7; " + ",".join(f"{i}-{j}" for i in range(1, 8) for j in range(i + 1, 8)) + ")"
 
@@ -228,6 +230,22 @@ class TestWitness:
         assert code == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == "none"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-block-len", "1"], "max_block_len must be at least 2"),
+        (["--check", "", "0"], "free-pair blocks must be nonempty"),
+        (["--check", "0,1", "0,1"], "free-pair blocks must be distinct"),
+    ], ids=["block-len", "empty-block", "equal-blocks"])
+    def test_bad_flags_refused_before_any_stage(self, capsys, monkeypatch, flags, message):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("an engine stage ran before the witness flags were checked")
+
+        monkeypatch.setattr(report, "build_presentation", no_stage)
+        monkeypatch.setattr(report, "buchberger", no_stage)
+        assert run_cli("witness", FULLY_DASHED_K7, *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestParameter:
     @pytest.mark.parametrize("t", ["abc", "1/0", "0", "1", "3/2"])
@@ -251,6 +269,21 @@ class TestParameter:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+class TestParameterModes:
+    def test_values(self):
+        assert parameter("symbolic") == (RationalFunction.t(), "symbolic")
+        assert parameter("1/2") == (Fraction(1, 2), "t=1/2")
+
+    @pytest.mark.parametrize("bad", ["0", "1", "5/4", "-1/2", Fraction(7, 3), "abc"])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            parameter(bad)
+
+    @pytest.mark.parametrize("mode, label", [("symbolic", "symbolic"), ("2/4", "t=1/2"), ("0.25", "t=1/4")])
+    def test_label_in_lowest_terms(self, mode, label):
+        assert parameter(mode)[1] == label
 
 
 class TestUnwritableJson:

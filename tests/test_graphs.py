@@ -11,6 +11,7 @@ from oracles import (
     brute_force_embedding,
     delete_dashed_edge,
     embedding_is_valid,
+    least_relabelling,
     relabel,
 )
 from tlstar import graphs
@@ -239,6 +240,16 @@ class TestEnumeration:
         monkeypatch.setitem(sys.modules, "networkx", None)
         graphs._enumerate_cached.cache_clear()
         assert [len(enumerate_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pruned_representative_is_least(self, n):
+        # A representative covers leaves 1..k, so pruning only drops leaves
+        # k+1..n and leaves a least relabelling: the representative of its class.
+        for g in enumerate_graphs(n):
+            k = len(g.covered_leaves())
+            assert g.covered_leaves() == list(range(1, k + 1)), str(g)
+            pruned, _ = prune_isolated_leaves(g)
+            assert pruned == least_relabelling(pruned), str(g)
 
     def test_includes_empty_configuration(self):
         assert TwoColoredStar(3, []) in enumerate_graphs(3)

@@ -335,9 +335,11 @@ class TestUnitIdeal:
         rules = (((0, 2, 1), None), ((2, 2), (1, 1, ())), ((2, 2, 2), (1, 0, ())))
         for order in itertools.permutations(rules):
             for bound in range(5, 10):
-                res = buchberger(Presentation(n=2, rules=order), bound)
+                pres = Presentation(n=2, rules=order)
+                res = buchberger(pres, bound)
                 assert res.rules == (((), None),), (order, bound)
                 assert res.obstructions == {()} and res.complete
+                _same_completion(res, reference_buchberger(pres, bound))
 
 
 def _fully_dashed(n):

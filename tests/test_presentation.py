@@ -8,7 +8,7 @@ from oracles import relabel
 from test_graphs import stars_with_permutation
 from tlstar.graphs import parse_graph
 from tlstar.ncpoly import NcPolynomial
-from tlstar.presentation import Presentation, build_presentation, parameter, render_rules
+from tlstar.presentation import Presentation, build_presentation, render_rules
 from tlstar.scalars import RationalFunction
 
 
@@ -91,28 +91,15 @@ class TestParameterModes:
             ]
 
     def test_symbolic_default(self):
-        assert parameter() == parameter("symbolic") == (RationalFunction.t(), "symbolic")
         pres = build_presentation(parse_graph("K(1;)"))
         assert pres.relations == render_rules(pres.rules, RationalFunction.t())
 
     def test_specialised(self):
-        assert parameter("1/2") == (Fraction(1, 2), "t=1/2")
         rules = build_presentation(parse_graph("K(1;)")).rules
         assert [p.format() for p in render_rules(rules, Fraction(1, 2))][2:] == [
             "p1 p0 p1 - 1/2*p1",
             "p0 p1 p0 - 1/2*p0",
         ]
-
-    @pytest.mark.parametrize("bad", ["0", "1", "5/4", "-1/2", Fraction(7, 3), "abc"])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
-            parameter(bad)
-
-    @pytest.mark.parametrize("mode, label", [
-        ("symbolic", "symbolic"), (None, "symbolic"), ("2/4", "t=1/2"), ("0.25", "t=1/4"),
-    ])
-    def test_label_in_lowest_terms(self, mode, label):
-        assert parameter(mode)[1] == label
 
 
 @given(stars_with_permutation(max_n=4))

@@ -12,10 +12,8 @@ from tlstar.report import analyze, cross_validate, run_engine
 
 
 class TestRunEngine:
-    @pytest.mark.parametrize("t_mode", ["symbolic", "1/2"])
     @pytest.mark.parametrize("text", ["K(3; 1-2,1-3,2-3)", "K(4; 1-2,3-4)", "K(5; 1-2,2-3,4-5)"])
-    def test_matches_hand_chain(self, text, t_mode):
-        # The engine takes no t; analyze at any t runs the same engine.
+    def test_matches_hand_chain(self, text):
         g = parse_graph(text)
         pres = build_presentation(g)
         result = buchberger(pres)
@@ -23,7 +21,7 @@ class TestRunEngine:
         growth = classify_growth(aut, complete=result.complete)
         run = run_engine(g)
         assert (run.groebner, run.automaton, run.growth) == (result, aut, growth)
-        r = analyze(g, method="groebner", t_mode=t_mode)
+        r = analyze(g, method="groebner")
         assert (r.groebner, r.automaton, r.growth) == (result, aut, growth)
 
     def test_automaton_built_only_when_read(self):
@@ -54,9 +52,8 @@ class TestNoRendering:
         sweep = cross_validate(4)
         assert sweep.all_agree and sweep.all_complete
 
-    @pytest.mark.parametrize("t_mode", ["symbolic", "1/2"])
-    def test_analyze(self, no_rendering, t_mode):
-        r = analyze(parse_graph("K(5; 1-2,2-3,4-5)"), t_mode=t_mode)
+    def test_analyze(self, no_rendering):
+        r = analyze(parse_graph("K(5; 1-2,2-3,4-5)"))
         assert r.growth.coarse == "exponential" and r.free_pair is not None
         assert not r.discrepancy
 
@@ -96,17 +93,6 @@ class TestAnalyze:
         assert not r.groebner.complete
         assert r.growth.upper_bound_only
         assert r.discrepancy
-
-    def test_specialised_mode_label(self):
-        r = analyze(parse_graph("K(2; 1-2)"), t_mode="1/3")
-        assert r.t_mode == "t=1/3"
-        assert not r.discrepancy
-
-    def test_theorem_only_still_checks_parameter(self):
-        with pytest.raises(ValueError):
-            analyze(parse_graph("K(2; 1-2)"), method="theorem", t_mode="abc")
-        r = analyze(parse_graph("K(2; 1-2)"), method="theorem", t_mode="2/4")
-        assert r.t_mode == "t=1/2"
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
