@@ -7,7 +7,9 @@ mismatch, violated component conditions, truncated completion in a sweep, a
 failed witness check, or an exponential-branch graph in which the theorem
 finds no witness).
 JSON output is schema-stable and byte-deterministic for fixed inputs and
-flags; wall-clock timings are only emitted behind --timings.
+flags; wall-clock timings are only emitted behind --timings.  Every
+subcommand returns its exit code and its JSON payload, and `main` alone
+writes --json.
 --t is parsed here and nowhere else, before any stage runs.  It only labels
 output and sets the value at which gb --dump renders the basis: one engine
 run serves every t, and the library takes no value of t.
@@ -26,10 +28,10 @@ from pathlib import Path
 
 # build_automaton, buchberger, build_presentation: not called here, but tracing tools wrap these names.
 from .automaton import build_automaton, check_max_degree, hilbert_prefix  # noqa: F401
-from .graphs import enumerate_graphs, parse_graph
+from .graphs import MAX_LEAVES, enumerate_graphs, parse_graph
 from .groebner import buchberger  # noqa: F401
 from .growth import find_free_pair_violation, free_pair_window_bound, search_free_pair
-from .ncpoly import format_word, parse_word
+from .ncpoly import format_word, parse_word, word_key
 from .presentation import build_presentation, render_rules  # noqa: F401
 from .report import DEFAULT_HILBERT_DEGREE, analyze, cross_validate, run_engine
 from .scalars import RationalFunction
@@ -97,7 +99,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="'symbolic' (default) or a rational in (0,1) such as 1/2; only labels and renders")
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
     report = analyze(g, method=args.method, degree_bound=args.degree_bound, max_degree=args.max_degree)
     print(f"graph:    {g}")
@@ -130,14 +132,12 @@ def _cmd_classify(args) -> int:
             print(f"  - {d}")
     else:
         print("no discrepancies")
-    if args.json:
-        payload = report.to_json_dict(include_timings=args.timings)
-        payload["t"] = args.t_label
-        _write_json(args.json, payload)
-    return DISCREPANCY if report.discrepancy else OK
+    payload = report.to_json_dict(include_timings=args.timings)
+    payload["t"] = args.t_label
+    return DISCREPANCY if report.discrepancy else OK, payload
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
     if args.max_degree > args.cap:
         raise SystemExit(_usage_error(f"max degree {args.max_degree} exceeds the cap {args.cap}"))
@@ -152,21 +152,16 @@ def _cmd_hilbert(args) -> int:
     print(f"{'degree':>6}  {'words':>12}  {'cumulative':>12}")
     for degree, (count, total) in enumerate(zip(prefix, cumulative)):
         print(f"{degree:>6}  {count:>12}  {total:>12}")
-    if args.json:
-        _write_json(args.json, {
-            "graph": g.to_json_dict(),
-            "t": args.t_label,
-            "complete": complete,
-            "prefix": prefix,
-            "cumulative": cumulative,
-        })
-    return OK
+    return OK, {"graph": g.to_json_dict(), "t": args.t_label, "complete": complete,
+                "prefix": prefix, "cumulative": cumulative}
 
 
-def _cmd_gb(args) -> int:
+def _cmd_gb(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
     result = run_engine(g, args.degree_bound).groebner
-    obs = sorted(result.obstructions, key=lambda w: (len(w), w))
+    payload = result.to_json_dict()
+    payload["graph"] = g.to_json_dict()
+    obs = sorted(result.obstructions, key=word_key)
     print(f"graph: {g}")
     print(f"basis size: {result.basis_size()}   complete: {result.complete}   "
           f"degree bound: {result.degree_bound}")
@@ -174,25 +169,17 @@ def _cmd_gb(args) -> int:
     for w in obs:
         print(f"  {format_word(w)}")
     if args.dump:
-        basis = [p.format() for p in render_rules(result.rules, args.t_value)]
+        basis = payload["basis"] = [p.format() for p in render_rules(result.rules, args.t_value)]
         print("basis elements:")
         for p in basis:
             print(f"  {p}")
-    if args.json:
-        payload = result.to_json_dict()
-        payload["graph"] = g.to_json_dict()
-        if args.dump:
-            payload["basis"] = basis
-        _write_json(args.json, payload)
-    return OK
+    return OK, payload
 
 
-def _cmd_crossvalidate(args) -> int:
+def _cmd_crossvalidate(args) -> tuple[int, dict]:
     if args.max_leaves > 6 and not args.allow_large:
         raise SystemExit(_usage_error(
             f"max leaves {args.max_leaves} needs --allow-large (sweeps beyond 6 are expensive)"))
-    if args.max_leaves > 7:
-        raise SystemExit(_usage_error("enumeration of classes is available up to 7 leaves"))
     sweep = cross_validate(args.max_leaves, degree_bound=args.degree_bound)
     print(f"classes up to {args.max_leaves} leaves: {len(sweep.rows)} "
           f"({sweep.engine_runs} distinct pruned classes run through the engine)")
@@ -207,14 +194,12 @@ def _cmd_crossvalidate(args) -> int:
         print(f"DISAGREEMENT: {row.graph} theorem={row.theorem.coarse} "
               f"engine={row.engine_growth.coarse} gk={row.engine_growth.gk_degree} "
               f"complete={row.complete} nu_violations={row.nu_violations}")
-    if args.json:
-        payload = sweep.to_json_dict()
-        payload["t"] = args.t_label
-        _write_json(args.json, payload)
-    return OK if sweep.all_agree and sweep.all_complete else DISCREPANCY
+    payload = sweep.to_json_dict()
+    payload["t"] = args.t_label
+    return OK if sweep.all_agree and sweep.all_complete else DISCREPANCY, payload
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
     if args.check:
         q1, q2 = (parse_word(w) for w in args.check)
@@ -232,59 +217,38 @@ def _cmd_witness(args) -> int:
         print("warning: completion truncated; obstruction set is partial")
     if args.check:
         violation = find_free_pair_violation(q1, q2, result.obstructions)
+        payload = {"graph": g.to_json_dict(), "verified": violation is None, "q1": list(q1), "q2": list(q2)}
         if violation is None:
-            bound = free_pair_window_bound(q1, q2, result.obstructions)
+            bound = payload["window_bound"] = free_pair_window_bound(q1, q2, result.obstructions)
             print(f"verified: all block concatenations of {format_word(q1)} and "
                   f"{format_word(q2)} are normal (window bound {bound})")
-            if args.json:
-                _write_json(args.json, {
-                    "graph": g.to_json_dict(), "verified": True,
-                    "q1": list(q1), "q2": list(q2),
-                    "window_bound": bound,
-                })
-            return OK
+            return OK, payload
         choice, word, pos, obstruction = violation
         seq = " ".join("q1" if c == 0 else "q2" for c in choice)
         print(f"NOT free: block sequence [{seq}] spells {format_word(word)}")
         print(f"  obstruction {format_word(obstruction)} occurs at position {pos}")
-        if args.json:
-            _write_json(args.json, {
-                "graph": g.to_json_dict(), "verified": False,
-                "q1": list(q1), "q2": list(q2),
-                "violating_blocks": list(choice),
-                "violating_word": list(word),
-                "position": pos,
-                "obstruction": list(obstruction),
-            })
-        return DISCREPANCY
+        payload.update(violating_blocks=list(choice), violating_word=list(word), position=pos,
+                       obstruction=list(obstruction))
+        return DISCREPANCY, payload
     cert = search_free_pair(run.automaton, args.max_block_len)
+    payload = {"graph": g.to_json_dict(), "certificate": None if cert is None else cert.to_json_dict()}
     if cert is None:
         print("none")
-        if args.json:
-            _write_json(args.json, {"graph": g.to_json_dict(), "certificate": None})
-        return OK
+        return OK, payload
     q1_ix = ",".join(map(str, cert.q1))
     q2_ix = ",".join(map(str, cert.q2))
     print(f"free pair: q1 = {format_word(cert.q1)}   q2 = {format_word(cert.q2)} "
           f"(window bound {cert.window_bound})")
     print(f"  as index sequences: {q1_ix}   {q2_ix}")
-    if args.json:
-        _write_json(args.json, {"graph": g.to_json_dict(), "certificate": cert.to_json_dict()})
-    return OK
+    return OK, payload
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, dict]:
     graphs = enumerate_graphs(args.n)
     print(f"{len(graphs)} isomorphism classes on {args.n} leaves:")
     for g in graphs:
         print(f"  {g}")
-    if args.json:
-        _write_json(args.json, {
-            "n": args.n,
-            "class_count": len(graphs),
-            "classes": [g.to_json_dict() for g in graphs],
-        })
-    return OK
+    return OK, {"n": args.n, "class_count": len(graphs), "classes": [g.to_json_dict() for g in graphs]}
 
 
 def _usage_error(message: str) -> int:
@@ -295,53 +259,50 @@ def _usage_error(message: str) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tlstar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", metavar="PATH", help="also write the result as JSON to PATH")
 
-    p = sub.add_parser("classify", help="classify growth by both methods and reconcile")
+    p = sub.add_parser("classify", parents=[json_flag], help="classify growth by both methods and reconcile")
     p.add_argument("graph", help="graph text, e.g. \"K(5; 1-2,2-3,4-5)\"")
-    p.add_argument("--method", choices=("both", "theorem", "groebner"), default="both")
+    p.add_argument("--method", choices=("both", "theorem"), default="both")
     p.add_argument("--max-degree", type=int, default=DEFAULT_HILBERT_DEGREE, metavar="N",
                    help="length of the reported normal-word count prefix")
-    p.add_argument("--json", metavar="PATH")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings in JSON")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("hilbert", help="normal-word counts per degree")
+    p = sub.add_parser("hilbert", parents=[json_flag], help="normal-word counts per degree")
     p.add_argument("graph")
     p.add_argument("max_degree", type=int)
     p.add_argument("--cap", type=int, default=DEFAULT_HILBERT_CAP,
                    help=f"safety cap on max_degree (default {DEFAULT_HILBERT_CAP})")
-    p.add_argument("--json", metavar="PATH")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_hilbert)
 
-    p = sub.add_parser("gb", help="compute the Groebner basis and obstruction set")
+    p = sub.add_parser("gb", parents=[json_flag], help="compute the Groebner basis and obstruction set")
     p.add_argument("graph")
     p.add_argument("--dump", action="store_true", help="print every basis element")
-    p.add_argument("--json", metavar="PATH")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_gb)
 
-    p = sub.add_parser("crossvalidate", help="sweep all classes and compare classifiers")
+    p = sub.add_parser("crossvalidate", parents=[json_flag], help="sweep all classes and compare classifiers")
     p.add_argument("--max-leaves", type=int, default=6)
     p.add_argument("--allow-large", action="store_true",
-                   help="permit sweeps beyond 6 leaves (up to 7)")
-    p.add_argument("--json", metavar="PATH")
+                   help=f"permit sweeps beyond 6 leaves (up to {MAX_LEAVES})")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_crossvalidate)
 
-    p = sub.add_parser("witness", help="search for or verify a free pair of words")
+    p = sub.add_parser("witness", parents=[json_flag], help="search for or verify a free pair of words")
     p.add_argument("graph")
     p.add_argument("--max-block-len", type=int, default=12)
     p.add_argument("--check", nargs=2, metavar=("Q1", "Q2"),
                    help="verify this pair (comma-separated indices, e.g. 0,1,2,0,4,5)")
-    p.add_argument("--json", metavar="PATH")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("enumerate", help="list isomorphism classes of dashed configurations")
+    p = sub.add_parser("enumerate", parents=[json_flag],
+                       help="list isomorphism classes of dashed configurations")
     p.add_argument("n", type=int)
-    p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_enumerate)
 
     return parser
@@ -355,13 +316,16 @@ def main(argv=None) -> int:
     try:
         if "t" in args:
             args.t_value, args.t_label = parameter(args.t)
-        return args.func(args)
+        code, payload = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:  # no witness in the exponential branch falsifies the theorem
         print(f"error: {exc}", file=sys.stderr)
         return DISCREPANCY
+    if args.json:
+        _write_json(args.json, payload)
+    return code
 
 
 if __name__ == "__main__":

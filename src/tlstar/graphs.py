@@ -5,7 +5,9 @@ A star has a distinguished center 0 joined to leaves 1..n by solid edges
 commutation relations.  This module provides parsing, dashed-component
 structure, pruning of leaves untouched by dashed edges, isomorphism via a
 canonical form, subgraph embeddings, and exhaustive enumeration of
-configurations up to isomorphism, generated leaf by leaf.
+configurations up to isomorphism, generated leaf by leaf, for at most
+`MAX_LEAVES` leaves.  `TwoColoredStar` is the one place that checks a
+dashed pair; `parse_graph` checks only the syntax.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ __all__ = [
 
 Pair = tuple[int, int]
 
+# The most leaves `enumerate_graphs` serves: the canonical key tries all n!
+# relabellings, which is too slow past 7 leaves.
+MAX_LEAVES = 7
+
 
 @dataclass(frozen=True)
 class TwoColoredStar:
@@ -44,15 +50,13 @@ class TwoColoredStar:
         if n < 0:
             raise ValueError(f"leaf count must be nonnegative, got {n}")
         pairs = set()
-        for pair in dashed:
-            i, j = pair
+        for i, j in dashed:
+            pair = (i, j) if i < j else (j, i)
             if i == j:
-                raise ValueError(f"dashed pair ({i},{j}) joins a leaf to itself")
-            if i > j:
-                i, j = j, i
-            if i < 1 or j > n:
-                raise ValueError(f"dashed pair ({i},{j}) outside leaves 1..{n}")
-            pairs.add((i, j))
+                raise ValueError(f"dashed pair {i}-{j} joins a leaf to itself")
+            if pair[0] < 1 or pair[1] > n:
+                raise ValueError(f"dashed pair {i}-{j} outside leaves 1..{n}")
+            pairs.add(pair)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dashed", frozenset(pairs))
 
@@ -115,30 +119,27 @@ def parse_graph(text: str) -> TwoColoredStar:
     """Parse ``K(<n>; <i>-<j>, ...)`` or ``K(<n>;)``.
 
     Duplicate pairs (after orienting i<j) are deduplicated with a warning;
-    malformed text, self-pairs and out-of-range indices raise ValueError.
+    malformed text raises ValueError here, and self-pairs and out-of-range
+    indices raise it in `TwoColoredStar`.
     """
     m = _GRAPH_RE.match(text)
     if not m:
         raise ValueError(f"malformed graph {text!r}: expected K(<n>; <i>-<j>, ...)")
     n = int(m.group(1))
     body = m.group(2)
-    pairs: list[Pair] = []
+    pairs: dict[Pair, Pair] = {}  # oriented pair -> the pair as written
     if body:
         for chunk in body.split(","):
             pm = _PAIR_RE.match(chunk)
             if not pm:
                 raise ValueError(f"malformed dashed pair {chunk.strip()!r} in {text!r}")
             i, j = int(pm.group(1)), int(pm.group(2))
-            if i == j:
-                raise ValueError(f"dashed pair {i}-{j} joins a leaf to itself")
-            if min(i, j) < 1 or max(i, j) > n:
-                raise ValueError(f"dashed pair {i}-{j} outside leaves 1..{n}")
             pair = (min(i, j), max(i, j))
             if pair in pairs:
                 warnings.warn(f"duplicate dashed pair {pair[0]}-{pair[1]} in {text!r}")
             else:
-                pairs.append(pair)
-    return TwoColoredStar(n, pairs)
+                pairs[pair] = (i, j)
+    return TwoColoredStar(n, pairs.values())
 
 
 def dashed_components(g: TwoColoredStar) -> tuple[list[frozenset[int]], int]:
@@ -295,10 +296,10 @@ def enumerate_graphs(n: int) -> list[TwoColoredStar]:
     Classes are generated by extending each class on n - 1 leaves by one
     leaf.  Each representative is the lexicographically least relabelling
     of its class, and they are returned in canonical-form order; the empty
-    configuration is included.  Raises ValueError unless 1 <= n <= 7.
+    configuration is included.  Raises ValueError unless 1 <= n <= MAX_LEAVES.
     """
     if n < 1:
         raise ValueError(f"leaf count must be at least 1, got {n}")
-    if n > 7:
-        raise ValueError("enumeration of classes is available up to 7 leaves")
+    if n > MAX_LEAVES:
+        raise ValueError(f"enumeration of classes is available up to {MAX_LEAVES} leaves")
     return list(_enumerate_cached(n))

@@ -9,8 +9,10 @@ engine (unless asked not to), then reconciles the two: any
 coarse-growth mismatch, violated component-count condition, or truncated
 completion raises a discrepancy flag that drives the CLI exit code.  The
 sweep applies the same reconciliation to every isomorphism class up to a
-leaf bound, deduplicating engine runs by the canonical form of the pruned
-graph.
+leaf bound (at most `graphs.MAX_LEAVES`), and runs the engine once per
+pruned representative.  Enumeration returns least relabellings, and
+pruning one keeps it least, so the pruned graph is its own class key and
+the sweep computes no canonical form.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from typing import Optional
 
 from .automaton import AvoidanceAutomaton, build_automaton, check_max_degree, hilbert_prefix
 from .classifier import TheoremVerdict, check_nu_conditions, classify_by_theorem
-from .graphs import (
+# canonical_form, canonical_representative: not called here, but tracing tools wrap these names.
+from .graphs import (  # noqa: F401
+    MAX_LEAVES,
     TwoColoredStar,
     canonical_form,
     canonical_representative,
@@ -126,7 +130,7 @@ def analyze(
     max_degree: int = DEFAULT_HILBERT_DEGREE,
 ) -> AnalysisReport:
     """Run the requested classifiers on g and reconcile their verdicts."""
-    if method not in ("both", "theorem", "groebner"):
+    if method not in ("both", "theorem"):
         raise ValueError(f"unknown method {method!r}")
     check_max_degree(max_degree)
     if method == "theorem":
@@ -146,7 +150,7 @@ def analyze(
     )
     report.discrepancies.extend(nu_violations)
 
-    if method != "theorem":
+    if method == "both":
         t0 = time.perf_counter()
         run = run_engine(g, degree_bound)
         result = report.groebner = run.groebner
@@ -243,23 +247,26 @@ def cross_validate(max_leaves: int, degree_bound: Optional[int] = None) -> Sweep
 
     Engine results are computed once per isomorphism class of the pruned
     graph (growth is invariant under pruning and relabelling, which the
-    test suite checks separately) and reused across rows.  Only (growth,
-    complete) is kept per class, so memory stays flat over the sweep.
-    Raises ValueError unless max_leaves >= 1.
+    test suite checks separately) and reused across rows.  A representative
+    is the least relabelling of its class, so it covers leaves 1..k and
+    pruning it gives the least relabelling of the pruned class: the pruned
+    graph itself keys the cache.  Only (growth, complete) is kept per
+    class, so memory stays flat over the sweep.  Raises ValueError unless
+    1 <= max_leaves <= MAX_LEAVES, before any stage runs.
     """
     if max_leaves < 1:
         raise ValueError(f"max leaves must be at least 1, got {max_leaves}")
+    if max_leaves > MAX_LEAVES:
+        raise ValueError(f"enumeration of classes is available up to {MAX_LEAVES} leaves")
     engine_cache: dict = {}
     rows: list[SweepRow] = []
     for n in range(1, max_leaves + 1):
         for g in enumerate_graphs(n):
             pruned, _ = prune_isolated_leaves(g)
-            rep = canonical_representative(pruned)
-            key = canonical_form(rep)
-            cached = engine_cache.get(key)
+            cached = engine_cache.get(pruned)
             if cached is None:
-                run = run_engine(rep, degree_bound)
-                cached = engine_cache[key] = (run.growth, run.groebner.complete)
+                run = run_engine(pruned, degree_bound)
+                cached = engine_cache[pruned] = (run.growth, run.groebner.complete)
             growth, complete = cached
             verdict = classify_by_theorem(g)
             rows.append(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from tlstar import classifier, cli, report
 from tlstar.cli import main, parameter
+from tlstar.graphs import parse_graph
 from tlstar.scalars import RationalFunction
 
 FULLY_DASHED_K7 = "K(7; " + ",".join(f"{i}-{j}" for i in range(1, 8) for j in range(i + 1, 8)) + ")"
@@ -73,7 +75,7 @@ class TestClassify:
         out = capsys.readouterr().out
         assert code == 2 and "DISCREPANCIES" in out
 
-    @pytest.mark.parametrize("method", ["both", "groebner", "theorem"])
+    @pytest.mark.parametrize("method", ["both", "theorem"])
     def test_bad_degree_bound_same_error_for_every_method(self, capsys, method):
         assert run_cli("classify", "K(2; 1-2)", "--method", method, "--degree-bound", "-5") == 1
         captured = capsys.readouterr()
@@ -139,6 +141,14 @@ class TestHilbert:
         assert run_cli("hilbert", "K(2;)", "4", "--t", "2/4", "--json", str(path)) == 0
         assert json.loads(path.read_text())["t"] == "t=1/2"
 
+    def test_truncation_warned(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        assert run_cli("hilbert", "K(5; 1-2,2-3,4-5)", "3", "--degree-bound", "6", "--json", str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["graph: K(5; 1-2, 2-3, 4-5)   (complete basis: False)",
+                             "warning: completion truncated; every count is an upper bound only"]
+        assert json.loads(path.read_text())["complete"] is False
+
 
 class TestGb:
     def test_obstructions_listed(self, capsys):
@@ -195,6 +205,22 @@ class TestCrossvalidate:
         payload = json.loads(path.read_text())
         assert payload["class_count"] == 3 and payload["all_agree"] is True
 
+    def test_disagreement_reported_exit_two(self, capsys, tmp_path, monkeypatch):
+        classify_by_theorem, edge = report.classify_by_theorem, parse_graph("K(2; 1-2)")
+
+        def wrong_on_edge(g):
+            verdict = classify_by_theorem(g)
+            return dataclasses.replace(verdict, coarse="polynomial-linear") if g == edge else verdict
+
+        monkeypatch.setattr(report, "classify_by_theorem", wrong_on_edge)
+        path = tmp_path / "cv.json"
+        assert run_cli("crossvalidate", "--max-leaves", "2", "--json", str(path)) == 2
+        out = capsys.readouterr().out
+        assert "all complete: True   all agree: False" in out
+        assert out.splitlines()[-1] == ("DISAGREEMENT: K(2; 1-2) theorem=polynomial-linear engine=finite "
+                                        "gk=None complete=True nu_violations=[]")
+        assert json.loads(path.read_text())["all_agree"] is False
+
 
 class TestWitness:
     def test_check_reference_pair(self, capsys):
@@ -219,6 +245,19 @@ class TestWitness:
         code = run_cli("witness", "K(4; 1-2,3-4)")
         assert code == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == "none"
+
+    def test_search_none_json(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        assert run_cli("witness", "K(4; 1-2,3-4)", "--json", str(path)) == 0
+        assert capsys.readouterr().out == "none\n"
+        graph = {"n": 4, "dashed": [[1, 2], [3, 4]]}
+        assert json.loads(path.read_text()) == {"graph": graph, "certificate": None}
+
+    def test_search_truncation_warned(self, capsys):
+        assert run_cli("witness", "K(5; 1-2,2-3,4-5)", "--degree-bound", "6") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "warning: completion truncated; obstruction set is partial"
+        assert lines[1].startswith("free pair: ")
 
     def test_search_exponential_finds_pair(self, capsys):
         code = run_cli("witness", "K(6; 1-6,2-3,4-5)")
@@ -252,13 +291,11 @@ class TestParameter:
     @pytest.mark.parametrize("command", [
         ["classify", "K(2; 1-2)", "--method", "both"],
         ["classify", "K(2; 1-2)", "--method", "theorem"],
-        ["classify", "K(2; 1-2)", "--method", "groebner"],
         ["hilbert", "K(2; 1-2)", "4"],
         ["gb", "K(2; 1-2)", "--dump"],
         ["crossvalidate", "--max-leaves", "2"],
         ["witness", "K(2; 1-2)"],
-    ], ids=["classify-both", "classify-theorem", "classify-groebner", "hilbert", "gb", "crossvalidate",
-            "witness"])
+    ], ids=["classify-both", "classify-theorem", "hilbert", "gb", "crossvalidate", "witness"])
     def test_bad_value_refused_before_any_stage(self, capsys, monkeypatch, command, t):
         def no_stage(*args, **kwargs):
             raise AssertionError("an engine stage ran before --t was checked")

@@ -54,6 +54,19 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_graph(text)
 
+    @pytest.mark.parametrize("n, pair, message", [
+        (4, (2, 2), "dashed pair 2-2 joins a leaf to itself"),
+        (4, (5, 1), "dashed pair 5-1 outside leaves 1..4"),
+        (4, (0, 2), "dashed pair 0-2 outside leaves 1..4"),
+    ])
+    def test_bad_pair_same_error_parsed_or_built(self, n, pair, message):
+        errors = []
+        for make in (lambda: parse_graph(f"K({n}; {pair[0]}-{pair[1]})"), lambda: TwoColoredStar(n, [pair])):
+            with pytest.raises(ValueError) as exc:
+                make()
+            errors.append(str(exc.value))
+        assert errors == [message, message]
+
     def test_roundtrip_text(self):
         g = parse_graph("K(5; 4-5, 1-2, 2-3)")
         assert str(g) == "K(5; 1-2, 2-3, 4-5)"

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from tlstar import automaton, groebner, presentation
+from oracles import least_relabelling
+from tlstar import automaton, groebner, presentation, report
 from tlstar.automaton import build_automaton
-from tlstar.graphs import parse_graph
+from tlstar.graphs import MAX_LEAVES, parse_graph
 from tlstar.groebner import buchberger
 from tlstar.growth import classify_growth
 from tlstar.presentation import build_presentation
@@ -21,7 +22,7 @@ class TestRunEngine:
         growth = classify_growth(aut, complete=result.complete)
         run = run_engine(g)
         assert (run.groebner, run.automaton, run.growth) == (result, aut, growth)
-        r = analyze(g, method="groebner")
+        r = analyze(g, method="both")
         assert (r.groebner, r.automaton, r.growth) == (result, aut, growth)
 
     def test_automaton_built_only_when_read(self):
@@ -144,6 +145,34 @@ class TestCrossValidate:
     def test_empty_sweep_rejected(self, max_leaves):
         with pytest.raises(ValueError, match="at least 1"):
             cross_validate(max_leaves)
+
+    def test_leaf_limit_checked_before_any_stage(self, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before the leaf limit was checked")
+
+        monkeypatch.setattr(report, "enumerate_graphs", no_stage)
+        monkeypatch.setattr(report, "buchberger", no_stage)
+        with pytest.raises(ValueError, match=f"up to {MAX_LEAVES} leaves"):
+            cross_validate(MAX_LEAVES + 1)
+
+    def test_engine_runs_once_per_pruned_class_without_canonical_key(self, monkeypatch):
+        def no_key(*args, **kwargs):
+            raise AssertionError("the sweep computed a canonical key")
+
+        engine_inputs = []
+
+        def recorded(g, degree_bound=None):
+            engine_inputs.append(g)
+            return run_engine(g, degree_bound)
+
+        monkeypatch.setattr(report, "canonical_form", no_key)
+        monkeypatch.setattr(report, "canonical_representative", no_key)
+        monkeypatch.setattr(report, "run_engine", recorded)
+        sweep = cross_validate(5)
+        assert sweep.all_agree and sweep.all_complete
+        assert len(engine_inputs) == len(set(engine_inputs)) == sweep.engine_runs == 1 + 1 + 2 + 7 + 23
+        assert all(g == least_relabelling(g) for g in engine_inputs)
+        assert set(engine_inputs) == {least_relabelling(row.pruned) for row in sweep.rows}
 
     def test_json_shape(self):
         payload = cross_validate(2).to_json_dict()

@@ -1,0 +1,72 @@
+"""Print one digest line per pruned class, to compare the engine's output across two trees.
+
+The classes are every pruned class with at most N leaves (default 7),
+taken from the enumeration, plus the fully dashed 7-leaf star.  Each line
+holds the class, whether completion finished, and the first 16 hex digits
+of the sha256 of
+- the obstructions (sorted by length, then lexicographically),
+- the finished rules,
+- the ``gb --dump`` output at t = 1/2,
+- the ``gb --dump`` output in symbolic form, for classes with at most 6
+  leaves and for the fully dashed 7-leaf star ("-" elsewhere).
+
+Usage: python tools/engine_digest.py [SRC_DIR] [--max-leaves N]
+       (SRC_DIR holds the tlstar package; default: src beside this script)
+
+To check that a change leaves the engine alone, run it on both trees and
+compare: ``diff <(python tools/engine_digest.py old/src) <(python
+tools/engine_digest.py new/src)``.  The n <= 7 run takes about 90 s on a
+2-core box.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+SYMBOLIC_MAX_LEAVES = 6
+FULLY_DASHED_K7 = "K(7; " + ",".join(f"{i}-{j}" for i in range(1, 8) for j in range(i + 1, 8)) + ")"
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=str(Path(__file__).resolve().parents[1] / "src"))
+    parser.add_argument("--max-leaves", type=int, default=7, metavar="N")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from tlstar.cli import main as cli_main
+    from tlstar.graphs import enumerate_graphs, parse_graph, prune_isolated_leaves
+    from tlstar.report import run_engine
+
+    def gb_dump(g, t: str) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["gb", str(g), "--dump", "--t", t])
+        return digest(f"{code}\n{out.getvalue()}")
+
+    classes = {}
+    for n in range(1, args.max_leaves + 1):
+        for g in enumerate_graphs(n):
+            pruned, _ = prune_isolated_leaves(g)
+            classes.setdefault(str(pruned), pruned)
+    k7 = parse_graph(FULLY_DASHED_K7)
+    classes.setdefault(str(k7), k7)
+    for text, g in classes.items():
+        result = run_engine(g).groebner
+        obstructions = sorted(result.obstructions, key=lambda w: (len(w), w))
+        symbolic = gb_dump(g, "symbolic") if g.n <= SYMBOLIC_MAX_LEAVES or g == k7 else "-"
+        print(f"{text}  complete={result.complete}  obstructions={digest(json.dumps(obstructions))}  "
+              f"rules={digest(repr(result.rules))}  dump_half={gb_dump(g, '1/2')}  dump_symbolic={symbolic}",
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
