@@ -4,8 +4,9 @@ Subcommands: classify, hilbert, gb, crossvalidate, witness, enumerate.
 Exit codes: 0 success/agreement, 1 usage or parse error or an unwritable
 --json path, 2 mathematical discrepancy (engine vs structural classifier
 mismatch, violated component conditions, truncated completion in a sweep, a
-failed witness check, or an exponential-branch graph in which the theorem
-finds no witness).
+failed witness check, a free pair found or verified on a truncated
+completion, or an exponential-branch graph in which the theorem finds no
+witness).
 JSON output is schema-stable and byte-deterministic for fixed inputs and
 flags; wall-clock timings are only emitted behind --timings.  Every
 subcommand returns its exit code and its JSON payload, and `main` alone
@@ -217,12 +218,13 @@ def _cmd_witness(args) -> tuple[int, dict]:
         print("warning: completion truncated; obstruction set is partial")
     if args.check:
         violation = find_free_pair_violation(q1, q2, result.obstructions)
-        payload = {"graph": g.to_json_dict(), "verified": violation is None, "q1": list(q1), "q2": list(q2)}
+        payload = {"graph": g.to_json_dict(), "complete": result.complete, "verified": violation is None,
+                   "q1": list(q1), "q2": list(q2)}
         if violation is None:
             bound = payload["window_bound"] = free_pair_window_bound(q1, q2, result.obstructions)
             print(f"verified: all block concatenations of {format_word(q1)} and "
                   f"{format_word(q2)} are normal (window bound {bound})")
-            return OK, payload
+            return _free_pair_exit(result.complete), payload
         choice, word, pos, obstruction = violation
         seq = " ".join("q1" if c == 0 else "q2" for c in choice)
         print(f"NOT free: block sequence [{seq}] spells {format_word(word)}")
@@ -231,7 +233,8 @@ def _cmd_witness(args) -> tuple[int, dict]:
                        obstruction=list(obstruction))
         return DISCREPANCY, payload
     cert = search_free_pair(run.automaton, args.max_block_len)
-    payload = {"graph": g.to_json_dict(), "certificate": None if cert is None else cert.to_json_dict()}
+    payload = {"graph": g.to_json_dict(), "complete": result.complete,
+               "certificate": None if cert is None else cert.to_json_dict()}
     if cert is None:
         print("none")
         return OK, payload
@@ -240,7 +243,19 @@ def _cmd_witness(args) -> tuple[int, dict]:
     print(f"free pair: q1 = {format_word(cert.q1)}   q2 = {format_word(cert.q2)} "
           f"(window bound {cert.window_bound})")
     print(f"  as index sequences: {q1_ix}   {q2_ix}")
-    return OK, payload
+    return _free_pair_exit(result.complete), payload
+
+
+def _free_pair_exit(complete: bool) -> int:
+    """Exit code of a free pair found or verified: only a complete obstruction set certifies it.
+
+    A truncated completion misses obstructions, so a pair free of the
+    partial set may still be cut by the missing ones.
+    """
+    if complete:
+        return OK
+    print("unverified: completion truncated, so the obstruction set is partial and certifies nothing")
+    return DISCREPANCY
 
 
 def _cmd_enumerate(args) -> tuple[int, dict]:

@@ -14,6 +14,7 @@ from tlstar.graphs import parse_graph
 from tlstar.scalars import RationalFunction
 
 FULLY_DASHED_K7 = "K(7; " + ",".join(f"{i}-{j}" for i in range(1, 8) for j in range(i + 1, 8)) + ")"
+UNVERIFIED = "unverified: completion truncated, so the obstruction set is partial and certifies nothing"
 
 
 def run_cli(*argv):
@@ -251,13 +252,26 @@ class TestWitness:
         assert run_cli("witness", "K(4; 1-2,3-4)", "--json", str(path)) == 0
         assert capsys.readouterr().out == "none\n"
         graph = {"n": 4, "dashed": [[1, 2], [3, 4]]}
-        assert json.loads(path.read_text()) == {"graph": graph, "certificate": None}
+        assert json.loads(path.read_text()) == {"graph": graph, "complete": True, "certificate": None}
 
-    def test_search_truncation_warned(self, capsys):
-        assert run_cli("witness", "K(5; 1-2,2-3,4-5)", "--degree-bound", "6") == 0
+    def test_search_truncation_warned(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        assert run_cli("witness", "K(5; 1-2,2-3,4-5)", "--degree-bound", "6", "--json", str(path)) == 2
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "warning: completion truncated; obstruction set is partial"
         assert lines[1].startswith("free pair: ")
+        assert lines[-1] == UNVERIFIED
+        assert json.loads(path.read_text())["complete"] is False
+
+    def test_check_truncation_unverified(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        assert run_cli("witness", "K(5; 1-2,2-3,4-5)", "--degree-bound", "6",
+                       "--check", "0,1,2,0,4,5", "0,2,3,0,4,5", "--json", str(path)) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "warning: completion truncated; obstruction set is partial"
+        assert lines[1].startswith("verified: ")
+        assert lines[-1] == UNVERIFIED
+        assert json.loads(path.read_text())["complete"] is False
 
     def test_search_exponential_finds_pair(self, capsys):
         code = run_cli("witness", "K(6; 1-6,2-3,4-5)")

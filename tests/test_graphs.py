@@ -173,6 +173,30 @@ def test_canonical_representative_is_isomorphic(g):
     assert canonical_form(rep) == canonical_form(g)
 
 
+@given(stars(max_n=6))
+@settings(deadline=None)
+def test_canonical_representative_is_least_relabelling(g):
+    assert canonical_representative(g) == least_relabelling(g)
+
+
+def _named_families(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return {
+        "empty": [],
+        "complete": pairs,
+        "star": [(i, n) for i in range(1, n)],
+        "path": [(i, i + 1) for i in range(1, n)],
+    }
+
+
+# n = 8 scores relabellings with 28-bit masks, as on 8-leaf benchmark inputs.
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("family", ["empty", "complete", "star", "path"])
+def test_named_family_representative_is_least_relabelling(family, n):
+    g = TwoColoredStar(n, _named_families(n)[family])
+    assert canonical_representative(g) == least_relabelling(g)
+
+
 def test_isomorphism_equivalence_on_all_small_classes():
     classes = [g for n in (1, 2, 3, 4) for g in enumerate_graphs(n)]
     for g1, g2 in itertools.combinations(classes, 2):

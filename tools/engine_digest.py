@@ -15,8 +15,8 @@ Usage: python tools/engine_digest.py [SRC_DIR] [--max-leaves N]
 
 To check that a change leaves the engine alone, run it on both trees and
 compare: ``diff <(python tools/engine_digest.py old/src) <(python
-tools/engine_digest.py new/src)``.  The n <= 7 run takes about 90 s on a
-2-core box.
+tools/engine_digest.py new/src)``.  The n <= 7 run takes about 75 s on a
+2-core x86-64 box with CPython 3.11, ~11 s of it enumeration.
 """
 
 import argparse
