@@ -11,9 +11,11 @@ JSON output is schema-stable and byte-deterministic for fixed inputs and
 flags; wall-clock timings are only emitted behind --timings.  Every
 subcommand returns its exit code and its JSON payload, and `main` alone
 writes --json.
---t is parsed here and nowhere else, before any stage runs.  It only labels
-output and sets the value at which gb --dump renders the basis: one engine
-run serves every t, and the library takes no value of t.
+--t is parsed here and nowhere else, before any stage runs, and `main`
+writes its label as the "t" of the payload of every command that takes
+it.  It only labels output and sets the value at which gb --dump renders
+the basis: one engine run serves every t, and the library takes no value
+of t.
 """
 
 from __future__ import annotations
@@ -133,9 +135,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
             print(f"  - {d}")
     else:
         print("no discrepancies")
-    payload = report.to_json_dict(include_timings=args.timings)
-    payload["t"] = args.t_label
-    return DISCREPANCY if report.discrepancy else OK, payload
+    return DISCREPANCY if report.discrepancy else OK, report.to_json_dict(include_timings=args.timings)
 
 
 def _cmd_hilbert(args) -> tuple[int, dict]:
@@ -153,7 +153,7 @@ def _cmd_hilbert(args) -> tuple[int, dict]:
     print(f"{'degree':>6}  {'words':>12}  {'cumulative':>12}")
     for degree, (count, total) in enumerate(zip(prefix, cumulative)):
         print(f"{degree:>6}  {count:>12}  {total:>12}")
-    return OK, {"graph": g.to_json_dict(), "t": args.t_label, "complete": complete,
+    return OK, {"graph": g.to_json_dict(), "complete": complete,
                 "prefix": prefix, "cumulative": cumulative}
 
 
@@ -195,9 +195,7 @@ def _cmd_crossvalidate(args) -> tuple[int, dict]:
         print(f"DISAGREEMENT: {row.graph} theorem={row.theorem.coarse} "
               f"engine={row.engine_growth.coarse} gk={row.engine_growth.gk_degree} "
               f"complete={row.complete} nu_violations={row.nu_violations}")
-    payload = sweep.to_json_dict()
-    payload["t"] = args.t_label
-    return OK if sweep.all_agree and sweep.all_complete else DISCREPANCY, payload
+    return OK if sweep.all_agree and sweep.all_complete else DISCREPANCY, sweep.to_json_dict()
 
 
 def _cmd_witness(args) -> tuple[int, dict]:
@@ -332,6 +330,8 @@ def main(argv=None) -> int:
         if "t" in args:
             args.t_value, args.t_label = parameter(args.t)
         code, payload = args.func(args)
+        if "t" in args:
+            payload["t"] = args.t_label
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

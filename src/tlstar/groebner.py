@@ -21,9 +21,12 @@ t).  `Rewriter` reduces arbitrary polynomials modulo any binomial basis
 the same way, one word at a time, carrying a scalar coefficient instead of
 a tag: that is where scalars enter.  Results stay exact.
 
-Completion holds words as byte strings when every letter fits in a byte,
-as tuples otherwise: both slice, concatenate, hash and compare alike, so
-one code runs on either.  The finished rules go back to tuple words.
+Completion holds words as `str`, one code point per letter, for every
+alphabet: ``"".join(map(chr, w))`` in and ``tuple(map(ord, w))`` out, so
+letters must lie below 0x110000.  A `str` slices, concatenates and hashes
+cheaply and compares by code point, so the deg-lex order is the same as
+on tuple words; a substring test finds the rules a new lead withdraws.
+The finished rules go back to tuple words.
 
 Completion is seeded from the deck of the rules.  Dropping one letter
 that occurs in them gives a card: the rules that do not use it, with the
@@ -53,8 +56,9 @@ that drops 6,769 of the 7,751 popped pairs, 5,609 of them before they
 enter the heap.  Every result carries `CompletionStats`: pairs enqueued,
 over the bound, inside a completed card, popped, dropped for a dead rule,
 composite, resolved to zero and inserted, rules withdrawn, the peak live
-rule count and the card systems completed.  The counters stay out of
-`to_json_dict`.
+rule count and the card systems completed.  Completion counts into a
+dict keyed by the field names, so each counter is named once, in
+`CompletionStats`.  The counters stay out of `to_json_dict`.
 
 If no overlap ever exceeds the bound the finished basis is a full Groebner
 basis and the result is marked complete; otherwise it is only a truncation
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -131,7 +135,7 @@ class GroebnerResult:
 class _LeadTable:
     """Leading words in one hash table, probed per start position by length.
 
-    Holds any objects with a ``lead`` attribute.  Lookups try the live lead
+    Holds `_Rule` objects, keyed by their leads.  Lookups try the live lead
     lengths shortest first, and the first entry added for a word keeps it,
     so a hit is the one a (length, insertion order) scan would give.
     """
@@ -183,14 +187,23 @@ class _LeadTable:
         return None
 
 
-class _WordRule:
-    """``lead -> coeff * word`` (rhs = (coeff, word), coeff None for 1) or ``lead -> 0`` (rhs None)."""
+class _Rule:
+    """``lead -> rhs``, or ``lead -> 0`` when rhs is None.
 
-    __slots__ = ("lead", "rhs")
+    In completion rhs is (sign, exp, word), for sign * t**exp * word, and
+    ``mask`` has one bit per completed card that holds the rule (0 for a
+    rule found by this completion).  In `Rewriter` rhs is (coeff, word),
+    with coeff None for 1.
+    """
 
-    def __init__(self, lead: Word, rhs: Optional[tuple]):
+    __slots__ = ("id", "lead", "rhs", "alive", "mask")
+
+    def __init__(self, rid: int, lead, rhs: Optional[tuple], mask: int = 0):
+        self.id = rid
         self.lead = lead
         self.rhs = rhs
+        self.alive = True
+        self.mask = mask
 
 
 class Rewriter:
@@ -206,7 +219,7 @@ class Rewriter:
 
     def __init__(self, basis: Sequence[NcPolynomial]):
         self.index = _LeadTable()
-        for p in basis:
+        for i, p in enumerate(basis):
             if not p:
                 continue
             terms = p.monic().sorted_terms()
@@ -216,7 +229,7 @@ class Rewriter:
             rhs = None if len(terms) == 1 else (-terms[1][1], terms[1][0])
             if rhs is not None and rhs[0] == 1:
                 rhs = (None, rhs[1])  # idempotent and commutation rules: nothing to multiply by
-            self.index.add(_WordRule(lead, rhs))
+            self.index.add(_Rule(i, lead, rhs))
 
     def _normal(self, c, w: Word) -> Optional[tuple]:
         """(coefficient, normal word) of c * w, or None if it reduces to zero."""
@@ -251,31 +264,15 @@ def reduce(p: NcPolynomial, basis: Sequence[NcPolynomial]) -> NcPolynomial:
 
 # A tagged term (sign, exp, word) stands for sign * t**exp * word.  A pending
 # element is a tuple of one or two tagged terms whose sum is an ideal member.
+# Inside completion every word is a `str`, one code point per letter.
 
 
-def _element(lead: Word, rhs: Optional[tuple]) -> tuple:
+def _element(lead: str, rhs: Optional[tuple]) -> tuple:
     """The rule lead -> rhs as an ideal member lead - rhs."""
     if rhs is None:
         return ((1, 0, lead),)
     sign, exp, word = rhs
     return ((1, 0, lead), (-sign, exp, word))
-
-
-class _Rule:
-    """``lead -> sign * t**exp * word`` (rhs = (sign, exp, word)) or ``lead -> 0``.
-
-    ``mask`` has one bit per completed card that holds the rule; 0 for a
-    rule found by this completion.
-    """
-
-    __slots__ = ("id", "lead", "rhs", "alive", "mask")
-
-    def __init__(self, rid: int, lead: Word, rhs: Optional[tuple], mask: int = 0):
-        self.id = rid
-        self.lead = lead
-        self.rhs = rhs
-        self.alive = True
-        self.mask = mask
 
 
 # Completion reduces the same words again and again between rule changes,
@@ -287,13 +284,14 @@ _MISSING = object()
 
 
 class _TaggedCompletion:
-    """Overlap completion of tagged rules.
+    """Overlap completion of tagged rules on `str` words.
 
     The rules enter as pending elements.  Pending elements are resolved
     first, then overlaps in the order of the key (length, word, id, id,
-    overlap); withdrawn rules are re-queued in id order.  Results therefore
-    do not depend on hash order, and truncated completions are
-    reproducible.
+    overlap), which is unique, so the two rules that follow it in a heap
+    entry are never compared; withdrawn rules are re-queued in id order.
+    Results therefore do not depend on hash order, and truncated
+    completions are reproducible.
 
     Seeds are (lead, rhs, mask) rules from completed cards, inserted first
     with their card bitmask; they are already inter-reduced.  The rules
@@ -315,34 +313,23 @@ class _TaggedCompletion:
     heap, and when it is popped, for pairs that became composite since.
     """
 
-    def __init__(self, rules: Iterable[Rule], degree_bound: int, seeds: Iterable[tuple] = ()):
+    def __init__(self, rules: Iterable[tuple], degree_bound: int, seeds: Iterable[tuple] = ()):
         self.bound = degree_bound
         self.index = _LeadTable()
-        self.rules: dict[int, _Rule] = {}
         self.next_id = 0
         self.heap: list[tuple] = []
         self.pending: deque = deque(_element(lead, rhs) for lead, rhs in rules)
-        self.skipped: list[tuple[int, int]] = []
+        self.skipped: list[tuple[_Rule, _Rule]] = []
         self.memo: dict = {}
-        # Live rules by the proper factors, prefixes and suffixes of their
-        # leads: withdrawal candidates and overlap partners of a new lead.
-        self.by_factor: dict[Word, set] = defaultdict(set)
-        self.by_prefix: dict[Word, set] = defaultdict(set)
-        self.by_suffix: dict[Word, set] = defaultdict(set)
-        # Counters for CompletionStats.
-        self.enqueued = 0
-        self.in_card = 0
-        self.popped = 0
-        self.dead = 0
-        self.composite = 0
-        self.to_zero = 0
-        self.inserted = 0
-        self.withdrawn = 0
-        self.peak_live = 0
+        # Live rules by the proper prefixes and suffixes of their leads:
+        # the overlap partners of a new lead.
+        self.by_prefix: dict[str, set] = defaultdict(set)
+        self.by_suffix: dict[str, set] = defaultdict(set)
+        self.count = dict.fromkeys((f.name for f in fields(CompletionStats)), 0)
         for lead, rhs, mask in seeds:
             self._insert(lead, rhs, mask)
 
-    def _normal(self, sign: int, exp: int, w: Word) -> Optional[tuple]:
+    def _normal(self, sign: int, exp: int, w: str) -> Optional[tuple]:
         """Tagged normal form of sign * t**exp * w by leftmost rewriting.
 
         Every word met on the way is memoised with its own normal form; the
@@ -410,7 +397,7 @@ class _TaggedCompletion:
         self._insert(w1, (-s1 * s2, e2 - e1, w2))
         return True
 
-    def _composite(self, u: Word, v: Word, ell: int) -> bool:
+    def _composite(self, u: str, v: str, ell: int) -> bool:
         """Whether a live lead lies strictly inside the overlap word u + v[ell:].
 
         Live leads form an antichain with u and v, so such a lead is a
@@ -441,14 +428,15 @@ class _TaggedCompletion:
         u, v = a.lead, b.lead
         size = len(u) + len(v) - ell
         if size > self.bound:
-            self.skipped.append((a.id, b.id))
+            self.skipped.append((a, b))
+            self.count["pairs_over_bound"] += 1
             return
-        self.enqueued += 1
+        self.count["pairs_enqueued"] += 1
         if self._composite(u, v, ell):
-            self.popped += 1
-            self.composite += 1
+            self.count["pairs_popped"] += 1
+            self.count["pairs_composite"] += 1
         else:
-            heapq.heappush(self.heap, (size, u + v[ell:], a.id, b.id, ell))
+            heapq.heappush(self.heap, (size, u + v[ell:], a.id, b.id, ell, a, b))
 
     def _enqueue_overlaps(self, rule: _Rule) -> None:
         # Overlap words where a proper suffix of one lead is a proper prefix
@@ -482,16 +470,14 @@ class _TaggedCompletion:
                         in_card += 1
                     else:
                         self._push(rule, rule, ell)
-        self.in_card += in_card
+        self.count["pairs_in_card"] += in_card
 
-    def _buckets(self, u: Word):
-        """(map, key) for every proper prefix, suffix and factor of u."""
+    def _buckets(self, u: str):
+        """(map, key) for every proper prefix and suffix of u."""
         n = len(u)
         for k in range(1, n):
             yield self.by_prefix, u[:k]
             yield self.by_suffix, u[n - k:]
-        for f in {u[i:j] for i in range(n) for j in range(i + 1, n + 1) if j - i < n}:
-            yield self.by_factor, f
 
     def _register(self, rule: _Rule) -> None:
         self.memo.clear()
@@ -508,26 +494,24 @@ class _TaggedCompletion:
             if not bucket:
                 del table[key]
 
-    def _insert(self, lead: Word, rhs: Optional[tuple], mask: int = 0) -> None:
+    def _insert(self, lead: str, rhs: Optional[tuple], mask: int = 0) -> None:
         # Inclusion ambiguities: any older rule whose leading word contains
         # the new one is withdrawn and re-reduced later.  The new lead is
         # irreducible, so such a lead is strictly longer and has it as a
-        # proper factor.  ``by_factor`` holds no empty factor: an empty lead
-        # (the ideal holds 1) withdraws every live rule.
-        doomed = self.index.by_lead.values() if not lead else self.by_factor.get(lead, ())
-        doomed = sorted(doomed, key=lambda r: r.id)
+        # proper factor.  An empty lead (the ideal holds 1) lies in every
+        # lead and withdraws every live rule.
+        doomed = sorted((r for r in self.index.by_lead.values() if lead in r.lead), key=lambda r: r.id)
         for r in doomed:
             r.alive = False
             self._unregister(r)
             self.pending.append(_element(r.lead, r.rhs))
-        self.withdrawn += len(doomed)
+        self.count["rules_withdrawn"] += len(doomed)
 
         rule = _Rule(self.next_id, lead, rhs, mask)
         self.next_id += 1
-        self.rules[rule.id] = rule
         self._enqueue_overlaps(rule)
         self._register(rule)
-        self.peak_live = max(self.peak_live, len(self.index.by_lead))
+        self.count["peak_live_rules"] = max(self.count["peak_live_rules"], len(self.index.by_lead))
 
     def _spair(self, a: _Rule, b: _Rule, ell: int) -> tuple:
         # lead(a) * right == left * lead(b), so the S-polynomial is
@@ -542,26 +526,23 @@ class _TaggedCompletion:
             out.append((s, e, u[:len(u) - ell] + r))
         return tuple(out)
 
-    def run(self) -> tuple[tuple[Rule, ...], bool, CompletionStats]:
+    def run(self) -> tuple[tuple[tuple, ...], bool, CompletionStats]:
+        count = self.count
         while self.pending or self.heap:
             if self.pending:
                 self._resolve(self.pending.popleft())
                 continue
-            _, _, ia, ib, ell = heapq.heappop(self.heap)
-            self.popped += 1
-            a = self.rules[ia]
-            b = self.rules[ib]
+            _, _, _, _, ell, a, b = heapq.heappop(self.heap)
+            count["pairs_popped"] += 1
             if not (a.alive and b.alive):
-                self.dead += 1
+                count["pairs_dead"] += 1
             elif self._composite(a.lead, b.lead, ell):
-                self.composite += 1
+                count["pairs_composite"] += 1
             elif self._resolve(self._spair(a, b, ell)):
-                self.inserted += 1
+                count["pairs_inserted"] += 1
             else:
-                self.to_zero += 1
-        truncated = any(
-            self.rules[ia].alive and self.rules[ib].alive for ia, ib in self.skipped
-        )
+                count["pairs_to_zero"] += 1
+        truncated = any(a.alive and b.alive for a, b in self.skipped)
         alive = sorted(self.index.by_lead.values(), key=lambda r: word_key(r.lead))
         # Final tail reduction so the returned basis is fully inter-reduced.
         # Later rules are reduced with the new right-hand sides, as in the
@@ -570,52 +551,39 @@ class _TaggedCompletion:
             if r.rhs is not None:
                 r.rhs = self._normal(*r.rhs)
                 self.memo.clear()
-        stats = CompletionStats(
-            pairs_enqueued=self.enqueued,
-            pairs_over_bound=len(self.skipped),
-            pairs_in_card=self.in_card,
-            pairs_popped=self.popped,
-            pairs_dead=self.dead,
-            pairs_composite=self.composite,
-            pairs_to_zero=self.to_zero,
-            pairs_inserted=self.inserted,
-            rules_withdrawn=self.withdrawn,
-            peak_live_rules=self.peak_live,
-        )
-        return tuple((r.lead, r.rhs) for r in alive), not truncated, stats
+        return tuple((r.lead, r.rhs) for r in alive), not truncated, CompletionStats(**count)
 
 
-def _relabel(rules: Iterable[Rule], table, W) -> tuple[Rule, ...]:
-    """The rules with every letter a replaced by table[a], as W words."""
-    get = table.__getitem__
+def _relabel(rules: Iterable[tuple], table) -> tuple[tuple, ...]:
+    """The rules with every word w replaced by ``w.translate(table)``."""
     return tuple(
-        (W(map(get, lead)), None if rhs is None else (rhs[0], rhs[1], W(map(get, rhs[2]))))
+        (lead.translate(table), None if rhs is None else (rhs[0], rhs[1], rhs[2].translate(table)))
         for lead, rhs in rules
     )
 
 
-def _cards(rules: Sequence[Rule]) -> list[tuple[tuple[int, ...], tuple[Rule, ...]]]:
+def _cards(rules: Sequence[tuple]) -> list[tuple[tuple[str, ...], tuple[tuple, ...]]]:
     """Every card of the rules: (kept letters, relabelled rules), one per letter.
 
     The card dropping letter x keeps the rules that do not use x, and the
     letters that occur in the rules other than x, relabelled 0..m-1 in
     increasing order; that keeps the deg-lex order.  Fewer than three
-    letters give no cards.
+    letters give no cards.  ``_relabel(card, kept)`` maps a card's words
+    back to the rules' letters.
     """
-    uses = [set(lead) if rhs is None else set(lead) | set(rhs[2]) for lead, rhs in rules]
-    letters = sorted(set().union(*uses))
+    uses = [lead if rhs is None else lead + rhs[2] for lead, rhs in rules]
+    letters = sorted(set("".join(uses)))
     if len(letters) < 3:
         return []
-    W = type(rules[0][0])
     out = []
     for x in letters:
         kept = tuple(a for a in letters if a != x)
-        table = {a: i for i, a in enumerate(kept)}
-        out.append((kept, _relabel((r for r, u in zip(rules, uses) if x not in u), table, W)))
+        table = {ord(a): i for i, a in enumerate(kept)}
+        out.append((kept, _relabel((r for r, u in zip(rules, uses) if x not in u), table)))
     return out
 
 
-def _seeds(rules: tuple[Rule, ...], bound: int, memo: dict) -> list[tuple]:
+def _seeds(rules: tuple[tuple, ...], bound: int, memo: dict) -> list[tuple]:
     """(lead, rhs, mask) seed rules from every card shared by several letters.
 
     Cards with equal relabelled rules form a group; each group of two or
@@ -628,7 +596,7 @@ def _seeds(rules: tuple[Rule, ...], bound: int, memo: dict) -> list[tuple]:
     groups: dict[tuple, list] = defaultdict(list)
     for bit, (kept, card) in enumerate(_cards(rules)):
         groups[card].append((bit, kept))
-    seeds: dict[Word, list] = {}
+    seeds: dict[str, list] = {}
     for card, members in groups.items():
         if len(members) < 2:
             continue
@@ -638,9 +606,8 @@ def _seeds(rules: tuple[Rule, ...], bound: int, memo: dict) -> list[tuple]:
         card_rules, complete = done
         if not complete:
             return []
-        W = type(rules[0][0])
         for bit, kept in members:
-            for lead, rhs in _relabel(card_rules, kept, W):
+            for lead, rhs in _relabel(card_rules, kept):
                 seed = seeds.setdefault(lead, [rhs, 0])
                 if seed[0] != rhs:
                     return []
@@ -648,7 +615,7 @@ def _seeds(rules: tuple[Rule, ...], bound: int, memo: dict) -> list[tuple]:
     return [(lead, rhs, mask) for lead, (rhs, mask) in sorted(seeds.items(), key=lambda item: word_key(item[0]))]
 
 
-def _complete(rules: tuple[Rule, ...], bound: int, memo: dict) -> tuple[tuple[Rule, ...], bool, CompletionStats]:
+def _complete(rules: tuple[tuple, ...], bound: int, memo: dict) -> tuple[tuple[tuple, ...], bool, CompletionStats]:
     """`_TaggedCompletion` of rules, seeded by `_seeds`: (finished rules, complete, stats).
 
     A truncated seeded run gives way to the unseeded run, so truncated
@@ -685,12 +652,15 @@ def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> Groebn
     in this family live, so completions normally certify completeness.
     """
     degree_bound = check_degree_bound(pres, degree_bound)
-    W = bytes if pres.alphabet_size() <= 256 else tuple
-    rules = tuple((W(lead), None if rhs is None else (rhs[0], rhs[1], W(rhs[2]))) for lead, rhs in pres.rules)
+    rules = tuple(
+        ("".join(map(chr, lead)), None if rhs is None else (rhs[0], rhs[1], "".join(map(chr, rhs[2]))))
+        for lead, rhs in pres.rules
+    )
     memo: dict = {}
     rules, complete, stats = _complete(rules, degree_bound, memo)
     rules = tuple(
-        (tuple(lead), None if rhs is None else (rhs[0], rhs[1], tuple(rhs[2]))) for lead, rhs in rules
+        (tuple(map(ord, lead)), None if rhs is None else (rhs[0], rhs[1], tuple(map(ord, rhs[2]))))
+        for lead, rhs in rules
     )
     stats = replace(stats, cards_completed=len(memo))
     return GroebnerResult(

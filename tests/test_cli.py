@@ -252,7 +252,7 @@ class TestWitness:
         assert run_cli("witness", "K(4; 1-2,3-4)", "--json", str(path)) == 0
         assert capsys.readouterr().out == "none\n"
         graph = {"n": 4, "dashed": [[1, 2], [3, 4]]}
-        assert json.loads(path.read_text()) == {"graph": graph, "complete": True, "certificate": None}
+        assert json.loads(path.read_text()) == {"graph": graph, "t": "symbolic", "complete": True, "certificate": None}
 
     def test_search_truncation_warned(self, capsys, tmp_path):
         path = tmp_path / "w.json"

@@ -276,47 +276,34 @@ class TestReferenceCompletion:
 
     @SCALARS
     def test_alphabet_beyond_byte_range(self, t):
-        # Leaves renumbered past 255, in order, so deglex order is kept and
-        # overlap words can no longer be held as bytes.
+        # Leaves renumbered past 255 and past 65,535, in order, so deglex
+        # order is kept and completion's words hold 2- and 4-byte code points.
         pres = build_presentation(parse_graph("K(4; 1-2,2-3,3-4,1-4)"))
-        shift = {0: 0, **{k: k + 296 for k in range(1, 5)}}
-
-        def lift(w):
-            return tuple(shift[a] for a in w)
-
-        rules = tuple((lift(lead), None if rhs is None else (rhs[0], rhs[1], lift(rhs[2])))
-                      for lead, rhs in pres.rules)
-        big = Presentation(n=300, rules=rules)
-        res = buchberger(big)
-        _same_completion(res, reference_buchberger(big, t=t), t)
-        assert res.obstructions == {lift(w) for w in buchberger(pres).obstructions}
+        for offset in (296, 70_000):
+            shift = {0: 0, **{k: k + offset for k in range(1, 5)}}
+            big = Presentation(n=offset + 4, rules=_relabel_rules(pres.rules, shift))
+            res = buchberger(big)
+            _same_completion(res, reference_buchberger(big, t=t), t)
+            assert res.obstructions == {_relabel_word(w, shift) for w in buchberger(pres).obstructions}
 
     @pytest.mark.parametrize("text", ["K(4; 1-2,2-3,3-4,1-4)", "K(5; 1-2,2-3,4-5)"])
     @pytest.mark.parametrize("bound", [5, None])
     def test_wide_alphabet_equals_byte_words(self, text, bound):
-        # Completion holds words as bytes when every letter fits in a byte
-        # and as tuples otherwise; the same rules renumbered past 255 must
-        # complete to the same result, counters included.
+        # CPython stores a str with 1, 2 or 4 bytes a code point, by its
+        # largest letter; the same rules renumbered past 255 and past 65,535
+        # must complete to the same result, counters included.
         pres = build_presentation(parse_graph(text))
         bound = check_degree_bound(pres, bound)
-        shift = {0: 0, **{k: k + 296 for k in range(1, pres.n + 1)}}
-        unshift = {v: k for k, v in shift.items()}
-
-        def relabel(w, table):
-            return tuple(table[a] for a in w)
-
-        def relabel_rules(rules, table):
-            return tuple(
-                (relabel(lead, table), None if rhs is None else (rhs[0], rhs[1], relabel(rhs[2], table)))
-                for lead, rhs in rules
-            )
-
-        big = Presentation(n=300, rules=relabel_rules(pres.rules, shift))
-        assert big.alphabet_size() > 256
-        got, want = buchberger(big, bound), buchberger(pres, bound)
-        assert relabel_rules(got.rules, unshift) == want.rules
-        assert {relabel(w, unshift) for w in got.obstructions} == want.obstructions
-        assert (got.complete, got.stats) == (want.complete, want.stats)
+        want = buchberger(pres, bound)
+        for offset in (296, 70_000):
+            shift = {0: 0, **{k: k + offset for k in range(1, pres.n + 1)}}
+            unshift = {v: k for k, v in shift.items()}
+            big = Presentation(n=offset + pres.n, rules=_relabel_rules(pres.rules, shift))
+            assert big.alphabet_size() > 256
+            got = buchberger(big, bound)
+            assert _relabel_rules(got.rules, unshift) == want.rules
+            assert {_relabel_word(w, unshift) for w in got.obstructions} == want.obstructions
+            assert (got.complete, got.stats) == (want.complete, want.stats)
 
     def test_tag_mismatch_makes_zero_rule(self):
         # p1 p1 = t p1 and p1 p1 = p1 give (1 - t) p1 = 0, hence p1 = 0.
@@ -326,6 +313,15 @@ class TestReferenceCompletion:
         res = buchberger(pres)
         _same_completion(res, reference_buchberger(pres))
         assert res.obstructions == {(1,)} and res.complete
+
+
+def _relabel_word(w, table):
+    return tuple(table[a] for a in w)
+
+
+def _relabel_rules(rules, table):
+    return tuple((_relabel_word(lead, table), None if rhs is None else (rhs[0], rhs[1], _relabel_word(rhs[2], table)))
+                 for lead, rhs in rules)
 
 
 class TestUnitIdeal:
@@ -427,13 +423,13 @@ class TestCompletionStats:
         assert set(res.to_json_dict()) == {"degree_bound", "complete", "basis_size", "obstructions"}
 
 
-def _byte_rules(pres):
-    return tuple((bytes(lead), None if rhs is None else (rhs[0], rhs[1], bytes(rhs[2])))
+def _str_rules(pres):
+    return tuple(("".join(map(chr, lead)), None if rhs is None else (rhs[0], rhs[1], "".join(map(chr, rhs[2]))))
                  for lead, rhs in pres.rules)
 
 
-def _tuple_rules(rules):
-    return tuple((tuple(lead), None if rhs is None else (rhs[0], rhs[1], tuple(rhs[2])))
+def _ord_rules(rules):
+    return tuple((tuple(map(ord, lead)), None if rhs is None else (rhs[0], rhs[1], tuple(map(ord, rhs[2]))))
                  for lead, rhs in rules)
 
 
@@ -449,8 +445,8 @@ class TestDeckSeeding:
 
     def _same_as_unseeded(self, pres, bound=None):
         res = buchberger(pres, bound)
-        rules, complete, _ = _TaggedCompletion(_byte_rules(pres), res.degree_bound).run()
-        assert res.rules == _tuple_rules(rules)
+        rules, complete, _ = _TaggedCompletion(_str_rules(pres), res.degree_bound).run()
+        assert res.rules == _ord_rules(rules)
         assert res.obstructions == {lead for lead, _ in res.rules}
         assert res.complete == complete
         return res
@@ -504,9 +500,9 @@ class TestDeckSeeding:
         pres = build_presentation(parse_graph(text))
         bound = check_degree_bound(pres)
         union = {}
-        for kept, card in _cards(_byte_rules(pres)):
+        for kept, card in _cards(_str_rules(pres)):
             rules, complete, _ = _TaggedCompletion(card, bound).run()
             assert complete
-            for lead, rhs in _relabel(rules, kept, bytes):
+            for lead, rhs in _relabel(rules, kept):
                 assert union.setdefault(lead, rhs) == rhs
-        assert is_antichain({tuple(lead) for lead in union})
+        assert is_antichain({tuple(map(ord, lead)) for lead in union})

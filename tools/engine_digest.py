@@ -8,7 +8,8 @@ of the sha256 of
 - the finished rules,
 - the ``gb --dump`` output at t = 1/2,
 - the ``gb --dump`` output in symbolic form, for classes with at most 6
-  leaves and for the fully dashed 7-leaf star ("-" elsewhere).
+  leaves and for the fully dashed 7-leaf star ("-" elsewhere),
+- the completion counters (``result.stats``).
 
 Usage: python tools/engine_digest.py [SRC_DIR] [--max-leaves N]
        (SRC_DIR holds the tlstar package; default: src beside this script)
@@ -63,7 +64,8 @@ def main(argv: list[str]) -> int:
         obstructions = sorted(result.obstructions, key=lambda w: (len(w), w))
         symbolic = gb_dump(g, "symbolic") if g.n <= SYMBOLIC_MAX_LEAVES or g == k7 else "-"
         print(f"{text}  complete={result.complete}  obstructions={digest(json.dumps(obstructions))}  "
-              f"rules={digest(repr(result.rules))}  dump_half={gb_dump(g, '1/2')}  dump_symbolic={symbolic}",
+              f"rules={digest(repr(result.rules))}  dump_half={gb_dump(g, '1/2')}  dump_symbolic={symbolic}  "
+              f"stats={digest(repr(result.stats))}",
               flush=True)
     return 0
 
