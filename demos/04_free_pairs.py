@@ -27,9 +27,9 @@ q1, q2 = (0, 1, 2, 0, 4, 5), (0, 2, 3, 0, 4, 5)
 print(f"{format_word(q1)} | {format_word(q2)} free:",
       verify_free_pair(q1, q2, result.obstructions))
 
-# The search finds its own pair: two cycles through a shared automaton
-# state whose labels start with different letters.
-cert = search_free_pair(aut, max_block_len=12)
+# The search reads its own pair off the first branching automaton state:
+# two cycles through it whose labels start with different letters.
+cert = search_free_pair(aut)
 print("searched pair:", format_word(cert.q1), "|", format_word(cert.q2),
       f"(window bound {cert.window_bound})")
 
@@ -38,7 +38,7 @@ print("searched pair:", format_word(cert.q1), "|", format_word(cert.q2),
 g4 = parse_graph("K(4; 1-2,3-4)")
 res4 = buchberger(build_presentation(g4))
 aut4 = build_automaton(res4.obstructions, 5)
-print("\nsearch on", g4, "->", search_free_pair(aut4, 12))
+print("\nsearch on", g4, "->", search_free_pair(aut4))
 violation = find_free_pair_violation((0, 1, 2), (0, 3, 4), res4.obstructions)
 blocks, word, pos, obstruction = violation
 print(f"pair p0p1p2 / p0p3p4 fails: blocks {blocks} spell {format_word(word)}")

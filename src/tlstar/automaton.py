@@ -55,8 +55,8 @@ class AvoidanceAutomaton:
         return len(self.states)
 
     @cached_property
-    def structure(self) -> tuple[Edges, list[list[int]], list[tuple[bool, bool]]]:
-        """Edges, strongly connected components (sinks first) and their profiles.
+    def structure(self) -> tuple[Edges, list[list[int]], list[int]]:
+        """Edges, strongly connected components (sinks first) and their profiles (`_component_profile`).
 
         Built on first read, once per automaton, for every growth question
         asked of it.
@@ -161,17 +161,17 @@ def _strongly_connected_components(edges: Edges) -> list[list[int]]:
     return components
 
 
-def _component_profile(comp: list[int], edges: Edges) -> tuple[bool, bool]:
-    """(has_cycle, is_simple_cycle) for the subgraph induced on the component."""
+def _component_profile(comp: list[int], edges: Edges) -> int:
+    """Most internal edges of any member: edges from it to the component.
+
+    0 means no cycle: one state without a loop.  1 means one simple cycle:
+    in a strongly connected set on two or more states every member has an
+    internal edge, and with exactly one each they close a single cycle.  2
+    or more means a *branching state*, with two cycles through it, and
+    exponentially many words spelt inside the component.
+    """
     members = set(comp)
-    internal_out = {s: sum(1 for _, t in edges[s] if t in members) for s in comp}
-    if len(comp) == 1:
-        s = comp[0]
-        has_loop = any(t == s for _, t in edges[s])
-        return has_loop, has_loop and internal_out[s] == 1
-    # A strongly connected graph on >= 2 nodes always has a cycle; it is a
-    # single simple cycle exactly when every internal out-degree is 1.
-    return True, all(internal_out[s] == 1 for s in comp)
+    return max(sum(1 for _, t in edges[s] if t in members) for s in comp)
 
 
 def check_max_degree(max_degree: int) -> None:

@@ -5,8 +5,8 @@ Exit codes: 0 success/agreement, 1 usage or parse error or an unwritable
 --json path, 2 mathematical discrepancy (engine vs structural classifier
 mismatch, violated component conditions, truncated completion in a sweep, a
 failed witness check, a free pair found or verified on a truncated
-completion, or an exponential-branch graph in which the theorem finds no
-witness).
+completion, an exponential-branch graph in which the theorem finds no
+witness, or a searched free pair that the obstructions refute).
 JSON output is schema-stable and byte-deterministic for fixed inputs and
 flags; wall-clock timings are only emitted behind --timings.  Every
 subcommand returns its exit code and its JSON payload, and `main` alone
@@ -33,7 +33,8 @@ from pathlib import Path
 from .automaton import build_automaton, check_max_degree, hilbert_prefix  # noqa: F401
 from .graphs import MAX_LEAVES, enumerate_graphs, parse_graph
 from .groebner import buchberger  # noqa: F401
-from .growth import find_free_pair_violation, free_pair_window_bound, search_free_pair
+from .growth import (EXPONENTIAL, FINITE, POLYNOMIAL, find_free_pair_violation, free_pair_window_bound,
+                     search_free_pair)
 from .ncpoly import format_word, parse_word, word_key
 from .presentation import build_presentation, render_rules  # noqa: F401
 from .report import DEFAULT_HILBERT_DEGREE, analyze, cross_validate, run_engine
@@ -67,14 +68,14 @@ def _check_json_target(path: str) -> None:
         code = errno.ENOTDIR
     else:
         return
-    raise SystemExit(_usage_error(f"cannot write {path}: {os.strerror(code)}"))
+    raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_json(path: str, payload: dict) -> None:
     try:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     except OSError as exc:
-        raise SystemExit(_usage_error(f"cannot write {path}: {exc.strerror or exc}")) from None
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def parameter(mode: str) -> tuple[object, str]:
@@ -118,9 +119,9 @@ def _cmd_classify(args) -> tuple[int, dict]:
               f"degree bound {res.degree_bound}, complete {res.complete}")
         growth = report.growth
         extra = ""
-        if growth.coarse == "finite":
+        if growth.coarse == FINITE:
             extra = f", dimension {growth.dimension} (unital; {growth.dimension - 1} without the empty word)"
-        elif growth.coarse == "polynomial":
+        elif growth.coarse == POLYNOMIAL:
             extra = f", gk degree {growth.gk_degree}"
         caveat = " [upper bound only]" if growth.upper_bound_only else ""
         print(f"growth:   {growth.coarse}{extra}{caveat}")
@@ -141,7 +142,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
 def _cmd_hilbert(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
     if args.max_degree > args.cap:
-        raise SystemExit(_usage_error(f"max degree {args.max_degree} exceeds the cap {args.cap}"))
+        raise ValueError(f"max degree {args.max_degree} exceeds the cap {args.cap}")
     check_max_degree(args.max_degree)
     run = run_engine(g, args.degree_bound)
     complete = run.groebner.complete
@@ -179,13 +180,12 @@ def _cmd_gb(args) -> tuple[int, dict]:
 
 def _cmd_crossvalidate(args) -> tuple[int, dict]:
     if args.max_leaves > 6 and not args.allow_large:
-        raise SystemExit(_usage_error(
-            f"max leaves {args.max_leaves} needs --allow-large (sweeps beyond 6 are expensive)"))
+        raise ValueError(f"max leaves {args.max_leaves} needs --allow-large (sweeps beyond 6 are expensive)")
     sweep = cross_validate(args.max_leaves, degree_bound=args.degree_bound)
     print(f"classes up to {args.max_leaves} leaves: {len(sweep.rows)} "
           f"({sweep.engine_runs} distinct pruned classes run through the engine)")
     matrix = sweep.agreement_matrix()
-    labels = ("finite", "polynomial", "exponential")
+    labels = (FINITE, POLYNOMIAL, EXPONENTIAL)
     corner = "theorem / engine"
     print(f"{corner:>18}  " + "  ".join(f"{l:>12}" for l in labels))
     for a in labels:
@@ -208,8 +208,6 @@ def _cmd_witness(args) -> tuple[int, dict]:
                 raise ValueError(f"letter {outside[0]} in block {','.join(map(str, q))} "
                                  f"is outside the alphabet 0..{g.n}")
         find_free_pair_violation(q1, q2, frozenset())  # refuses empty or equal blocks before completion
-    elif args.max_block_len < 2:
-        raise ValueError("max_block_len must be at least 2")
     run = run_engine(g, args.degree_bound)
     result = run.groebner
     if not result.complete:
@@ -230,7 +228,7 @@ def _cmd_witness(args) -> tuple[int, dict]:
         payload.update(violating_blocks=list(choice), violating_word=list(word), position=pos,
                        obstruction=list(obstruction))
         return DISCREPANCY, payload
-    cert = search_free_pair(run.automaton, args.max_block_len)
+    cert = search_free_pair(run.automaton)
     payload = {"graph": g.to_json_dict(), "complete": result.complete,
                "certificate": None if cert is None else cert.to_json_dict()}
     if cert is None:
@@ -262,11 +260,6 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     for g in graphs:
         print(f"  {g}")
     return OK, {"n": args.n, "class_count": len(graphs), "classes": [g.to_json_dict() for g in graphs]}
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _build_parser() -> _Parser:
@@ -307,7 +300,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("witness", parents=[json_flag], help="search for or verify a free pair of words")
     p.add_argument("graph")
-    p.add_argument("--max-block-len", type=int, default=12)
     p.add_argument("--check", nargs=2, metavar=("Q1", "Q2"),
                    help="verify this pair (comma-separated indices, e.g. 0,1,2,0,4,5)")
     _add_engine_flags(p)
@@ -324,22 +316,22 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.json:
-        _check_json_target(args.json)
     try:
+        if args.json:
+            _check_json_target(args.json)
         if "t" in args:
             args.t_value, args.t_label = parameter(args.t)
         code, payload = args.func(args)
         if "t" in args:
             payload["t"] = args.t_label
+        if args.json:
+            _write_json(args.json, payload)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except RuntimeError as exc:  # no witness in the exponential branch falsifies the theorem
+    except RuntimeError as exc:  # no theorem witness in the exponential branch, or a refuted free pair
         print(f"error: {exc}", file=sys.stderr)
         return DISCREPANCY
-    if args.json:
-        _write_json(args.json, payload)
     return code
 
 

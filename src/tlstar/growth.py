@@ -4,13 +4,16 @@ The avoidance automaton determines the growth of the algebra.  Every state
 is a proper prefix of an obstruction, so the start state reaches it by
 spelling it, and over an antichain that prefix contains no obstruction, so
 the word it spells is normal: every state is live, and the graph is just
-the non-dead transitions.  No cycles means finitely many normal words;
-cycles confined to disjoint simple loops give polynomial growth with
-degree equal to the largest number of loop components met along a path;
-any strongly connected component richer than a single simple cycle yields
-exponentially many words.  In the exponential case two distinct cycles
-through a common state produce a pair of words whose block concatenations
-are all normal, certifying a free subalgebra on two generators.
+the non-dead transitions.  Each strongly connected component has one
+profile, the most edges any member has inside it.  All profiles 0 means no
+cycles and finitely many normal words; profiles at most 1 mean disjoint
+simple cycles and polynomial growth, with degree equal to the largest
+number of cycle components met along a path; a profile of 2 or more marks
+a *branching state*, and the growth is exponential.  That state also gives
+the certificate: its first two internal edges start two cycles through it,
+whose labels begin with different letters, so every concatenation of the
+two labels is normal and they generate a free subalgebra on two
+generators.  Every exponential verdict therefore carries a free pair.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automaton import AvoidanceAutomaton, Edges
-from .ncpoly import Word, find_factor, word_key
+from .ncpoly import Word, find_factor, format_word, word_key
 
 __all__ = [
     "GrowthClass",
@@ -41,18 +44,14 @@ EXPONENTIAL = "exponential"
 class GrowthClass:
     """Finite(dimension) | Polynomial(gk_degree) | Exponential, with a caveat flag."""
 
-    kind: str
+    coarse: str
     dimension: Optional[int] = None  # unital count of normal words, finite case only
     gk_degree: Optional[int] = None  # polynomial case only, >= 1
     upper_bound_only: bool = False
 
-    @property
-    def coarse(self) -> str:
-        return self.kind
-
     def to_json_dict(self) -> dict:
         return {
-            "coarse": self.kind,
+            "coarse": self.coarse,
             "dimension": self.dimension,
             "dimension_nonunital": None if self.dimension is None else self.dimension - 1,
             "gk_degree": self.gk_degree,
@@ -80,10 +79,10 @@ def classify_growth(aut: AvoidanceAutomaton, complete: bool = True) -> GrowthCla
     """
     edges, comps, profiles = aut.structure
 
-    if any(has_cycle and not simple for has_cycle, simple in profiles):
+    if max(profiles) >= 2:
         return GrowthClass(EXPONENTIAL, upper_bound_only=not complete)
 
-    if not any(has_cycle for has_cycle, _ in profiles):
+    if not any(profiles):
         # Acyclic, so every component is one state and comes after all it
         # reaches: count the words spelt from each state, its successors first.
         words = [0] * len(edges)
@@ -97,7 +96,7 @@ def classify_growth(aut: AvoidanceAutomaton, complete: bool = True) -> GrowthCla
     best: list[int] = []
     for k, comp in enumerate(comps):
         reached = (best[comp_of[t]] for s in comp for _, t in edges[s] if comp_of[t] != k)
-        best.append(profiles[k][0] + max(reached, default=0))
+        best.append((profiles[k] > 0) + max(reached, default=0))
     return GrowthClass(POLYNOMIAL, gk_degree=best[comp_of[aut.start]], upper_bound_only=not complete)
 
 
@@ -141,42 +140,39 @@ def verify_free_pair(q1: Word, q2: Word, obs: frozenset[Word]) -> bool:
     return find_free_pair_violation(q1, q2, obs) is None
 
 
-def search_free_pair(aut: AvoidanceAutomaton, max_block_len: int) -> Optional[FreePairCertificate]:
-    """Look for two short cycles through a shared state with distinct first letters.
+def search_free_pair(aut: AvoidanceAutomaton) -> Optional[FreePairCertificate]:
+    """The free pair of the first branching state, or None when there is none.
 
-    Distinct first letters force the two block words to generate a free pair
-    of words; both being cycle labels at the same live state makes every
-    block concatenation normal.  Returns the first certificate found within
-    the block-length bound, or None (which proves nothing by itself).
+    The first component (in sorted order) with profile 2 or more holds a
+    member with two internal edges; the first such member s and its first
+    two internal edges a1 -> t1, a2 -> t2 give the blocks a1 + (shortest
+    path t1 -> s) and a2 + (shortest path t2 -> s).  Both are cycles at s,
+    so every concatenation is normal, and they start with different
+    letters, so they are free.  None exactly when the growth is not
+    exponential.  Raises RuntimeError if `verify_free_pair` refutes the
+    pair: the automaton is then wrong.
     """
-    if max_block_len < 2:
-        raise ValueError("max_block_len must be at least 2")
     edges, comps, profiles = aut.structure
-    for comp, (has_cycle, simple) in sorted(zip(comps, profiles)):
-        if not has_cycle or simple:
-            continue
-        members = set(comp)
-        for s in comp:
-            internal = [(letter, t) for letter, t in edges[s] if t in members]
-            if len(internal) < 2:
-                continue
-            for (a1, t1), (a2, t2) in itertools.combinations(internal, 2):
-                w1 = _shortest_path_label(t1, s, members, edges)
-                w2 = _shortest_path_label(t2, s, members, edges)
-                if w1 is None or w2 is None:
-                    continue
-                q1 = (a1,) + w1
-                q2 = (a2,) + w2
-                if max(len(q1), len(q2)) > max_block_len:
-                    continue
-                if verify_free_pair(q1, q2, aut.obstructions):
-                    bound = free_pair_window_bound(q1, q2, aut.obstructions)
-                    return FreePairCertificate(q1=q1, q2=q2, window_bound=bound)
-    return None
+    comp = min((c for c, profile in zip(comps, profiles) if profile >= 2), default=None)
+    if comp is None:
+        return None
+    members = set(comp)
+    internal = {s: [(letter, t) for letter, t in edges[s] if t in members] for s in comp}
+    s = next(s for s in comp if len(internal[s]) >= 2)
+    (a1, t1), (a2, t2) = internal[s][:2]
+    q1 = (a1,) + _shortest_path_label(t1, s, members, edges)
+    q2 = (a2,) + _shortest_path_label(t2, s, members, edges)
+    if not verify_free_pair(q1, q2, aut.obstructions):
+        raise RuntimeError(f"the cycles {format_word(q1)} and {format_word(q2)} at automaton state {s} "
+                           "are not a free pair: the automaton disagrees with its obstructions")
+    return FreePairCertificate(q1=q1, q2=q2, window_bound=free_pair_window_bound(q1, q2, aut.obstructions))
 
 
-def _shortest_path_label(src: int, dst: int, members: set[int], edges: Edges) -> Optional[Word]:
-    """Lexicographically least shortest path label from src to dst inside members."""
+def _shortest_path_label(src: int, dst: int, members: set[int], edges: Edges) -> Word:
+    """Lexicographically least shortest path label from src to dst inside members.
+
+    members is strongly connected, so the path exists.
+    """
     if src == dst:
         return ()
     frontier = [(src, ())]
@@ -192,4 +188,3 @@ def _shortest_path_label(src: int, dst: int, members: set[int], edges: Edges) ->
                 seen.add(t)
                 nxt.append((t, label + (letter,)))
         frontier = nxt
-    return None

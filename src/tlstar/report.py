@@ -35,13 +35,13 @@ from .graphs import (  # noqa: F401
     prune_isolated_leaves,
 )
 from .groebner import GroebnerResult, buchberger, check_degree_bound
-from .growth import FreePairCertificate, GrowthClass, classify_growth, search_free_pair
+from .growth import (EXPONENTIAL, FINITE, POLYNOMIAL, FreePairCertificate, GrowthClass, classify_growth,
+                     search_free_pair)
 from .presentation import Presentation, build_presentation
 
 __all__ = ["AnalysisReport", "EngineRun", "SweepResult", "analyze", "cross_validate", "run_engine"]
 
 DEFAULT_HILBERT_DEGREE = 12
-DEFAULT_SEARCH_BLOCKS = 12
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _disagreements(verdict: TheoremVerdict, growth: GrowthClass) -> list[str]:
     """Ways the engine's growth contradicts the structural verdict; empty when they agree."""
     if growth.coarse != verdict.coarse_growth:
         return [f"engine growth {growth.coarse} disagrees with structural verdict {verdict.coarse}"]
-    if growth.coarse == "polynomial" and growth.gk_degree != 1:
+    if growth.coarse == POLYNOMIAL and growth.gk_degree != 1:
         return [f"structural verdict asserts linear growth but engine found gk degree {growth.gk_degree}"]
     return []
 
@@ -160,8 +160,8 @@ def analyze(
         aut = report.automaton = run.automaton
         report.hilbert = hilbert_prefix(aut, max_degree)
         growth = report.growth = run.growth
-        if growth.coarse == "exponential" and result.complete:
-            report.free_pair = search_free_pair(aut, DEFAULT_SEARCH_BLOCKS)
+        if growth.coarse == EXPONENTIAL and result.complete:
+            report.free_pair = search_free_pair(aut)
         report.timings["automaton_s"] = time.perf_counter() - t0
 
         if not result.complete:
@@ -179,8 +179,11 @@ class SweepRow:
     pruned: TwoColoredStar
     theorem: TheoremVerdict
     engine_growth: GrowthClass
-    complete: bool
     nu_violations: list[str]
+
+    @property
+    def complete(self) -> bool:
+        return not self.engine_growth.upper_bound_only
 
     @property
     def agree(self) -> bool:
@@ -221,7 +224,7 @@ class SweepResult:
         return all(row.complete for row in self.rows)
 
     def agreement_matrix(self) -> dict:
-        labels = ("finite", "polynomial", "exponential")
+        labels = (FINITE, POLYNOMIAL, EXPONENTIAL)
         matrix = {a: {b: 0 for b in labels} for a in labels}
         for row in self.rows:
             matrix[row.theorem.coarse_growth][row.engine_growth.coarse] += 1
@@ -250,8 +253,9 @@ def cross_validate(max_leaves: int, degree_bound: Optional[int] = None) -> Sweep
     test suite checks separately) and reused across rows.  A representative
     is the least relabelling of its class, so it covers leaves 1..k and
     pruning it gives the least relabelling of the pruned class: the pruned
-    graph itself keys the cache.  Only (growth, complete) is kept per
-    class, so memory stays flat over the sweep.  Raises ValueError unless
+    graph itself keys the cache.  Only the growth class is kept per class
+    (its `upper_bound_only` flag tells whether completion finished), so
+    memory stays flat over the sweep.  Raises ValueError unless
     1 <= max_leaves <= MAX_LEAVES, before any stage runs.
     """
     if max_leaves < 1:
@@ -263,11 +267,9 @@ def cross_validate(max_leaves: int, degree_bound: Optional[int] = None) -> Sweep
     for n in range(1, max_leaves + 1):
         for g in enumerate_graphs(n):
             pruned, _ = prune_isolated_leaves(g)
-            cached = engine_cache.get(pruned)
-            if cached is None:
-                run = run_engine(pruned, degree_bound)
-                cached = engine_cache[pruned] = (run.growth, run.groebner.complete)
-            growth, complete = cached
+            growth = engine_cache.get(pruned)
+            if growth is None:
+                growth = engine_cache[pruned] = run_engine(pruned, degree_bound).growth
             verdict = classify_by_theorem(g)
             rows.append(
                 SweepRow(
@@ -275,7 +277,6 @@ def cross_validate(max_leaves: int, degree_bound: Optional[int] = None) -> Sweep
                     pruned=pruned,
                     theorem=verdict,
                     engine_growth=growth,
-                    complete=complete,
                     nu_violations=check_nu_conditions(g, verdict),
                 )
             )

@@ -164,7 +164,7 @@ def test_criterion_5_witness_verification(engine):
     for m in range(1, 51):
         assert is_normal_word(block * m, res4.obstructions), m
     assert growth4.coarse == "polynomial"
-    assert search_free_pair(aut4, 12) is None
+    assert search_free_pair(aut4) is None
     announce(
         "5",
         True,

@@ -284,10 +284,9 @@ class TestWitness:
         assert capsys.readouterr().out.strip().splitlines()[-1] == "none"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--max-block-len", "1"], "max_block_len must be at least 2"),
         (["--check", "", "0"], "free-pair blocks must be nonempty"),
         (["--check", "0,1", "0,1"], "free-pair blocks must be distinct"),
-    ], ids=["block-len", "empty-block", "equal-blocks"])
+    ], ids=["empty-block", "equal-blocks"])
     def test_bad_flags_refused_before_any_stage(self, capsys, monkeypatch, flags, message):
         def no_stage(*args, **kwargs):
             raise AssertionError("an engine stage ran before the witness flags were checked")

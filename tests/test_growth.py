@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import count_all_normal_words, delete_dashed_edge, minimal_antichain, normal_word_counts
+from tlstar import cli
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.graphs import (
     TwoColoredStar,
@@ -93,8 +94,11 @@ class TestSyntheticGrowthDegrees:
         assert growth.coarse == "polynomial" and growth.gk_degree == 3
 
     def test_free_algebra_on_two_letters_is_exponential(self):
+        # One state with both letters looping on it: the certificate is the two letters.
         aut = build_automaton(set(), 2)
         assert classify_growth(aut).coarse == "exponential"
+        cert = search_free_pair(aut)
+        assert (cert.q1, cert.q2) == ((0,), (1,))
 
     def test_long_single_obstruction_is_finite(self):
         # One state per proper prefix of 0^1500; far deeper than Python's recursion limit.
@@ -162,7 +166,7 @@ class TestSearchFreePair:
     def test_found_and_verified_for_exponential_graphs(self, text):
         res, aut, growth = engine_parts(parse_graph(text))
         assert growth.coarse == "exponential"
-        cert = search_free_pair(aut, 12)
+        cert = search_free_pair(aut)
         assert cert is not None
         assert cert.q1 != cert.q2
         assert cert.q1 + cert.q2 != cert.q2 + cert.q1
@@ -171,25 +175,40 @@ class TestSearchFreePair:
     def test_components_searched_from_the_smallest_state(self):
         # Two exponential components here; the one holding state 0 gives the certificate.
         aut = build_automaton({(1, 1, 0, 0), (1, 0, 1, 0)}, 2)
-        cert = search_free_pair(aut, 12)
+        cert = search_free_pair(aut)
         assert (cert.q1, cert.q2) == ((0,), (1, 0, 0))
 
     def test_linear_growth_has_none(self):
         _, aut, growth = engine_parts(parse_graph("K(4; 1-2,3-4)"))
         assert growth.coarse == "polynomial"
-        assert search_free_pair(aut, 12) is None
+        assert search_free_pair(aut) is None
 
     def test_finite_has_none(self):
         _, aut, growth = engine_parts(parse_graph("K(3; 1-2,1-3,2-3)"))
         assert growth.coarse == "finite"
-        assert search_free_pair(aut, 12) is None
+        assert search_free_pair(aut) is None
 
-    def test_block_length_bound_respected(self):
+    def test_every_complete_exponential_class_up_to_six_leaves(self, engine):
+        classes = {prune_isolated_leaves(g)[0] for n in range(1, 7) for g in enumerate_graphs(n)}
+        exponential = 0
+        for g in classes:
+            res, aut, growth = engine.full(g)
+            if growth.coarse != "exponential" or not res.complete:
+                continue
+            exponential += 1
+            cert = search_free_pair(aut)
+            assert cert is not None, str(g)
+            assert verify_free_pair(cert.q1, cert.q2, res.obstructions), str(g)
+        assert exponential > 0
+
+    def test_refuted_pair_is_an_engine_fault(self, monkeypatch, capsys):
+        monkeypatch.setattr("tlstar.growth.verify_free_pair", lambda q1, q2, obs: False)
         _, aut, _ = engine_parts(parse_graph("K(5; 1-2,2-3,4-5)"))
-        cert = search_free_pair(aut, 12)
-        assert max(len(cert.q1), len(cert.q2)) <= 12
-        with pytest.raises(ValueError):
-            search_free_pair(aut, 1)
+        with pytest.raises(RuntimeError):
+            search_free_pair(aut)
+        assert cli.main(["witness", "K(5; 1-2,2-3,4-5)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not a free pair" in captured.err
 
 
 class TestMonotonicity:

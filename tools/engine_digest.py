@@ -9,7 +9,13 @@ of the sha256 of
 - the ``gb --dump`` output at t = 1/2,
 - the ``gb --dump`` output in symbolic form, for classes with at most 6
   leaves and for the fully dashed 7-leaf star ("-" elsewhere),
-- the completion counters (``result.stats``).
+- the completion counters (``result.stats``),
+- the JSON of the full analysis (``analyze(g).to_json_dict()`` with sorted
+  keys): the growth verdict, the free pair, the Hilbert prefix and the
+  theorem verdict.
+
+The engine columns are read off that same analysis, so each class is
+completed once for them (and once more for each ``gb --dump``).
 
 Usage: python tools/engine_digest.py [SRC_DIR] [--max-leaves N]
        (SRC_DIR holds the tlstar package; default: src beside this script)
@@ -44,7 +50,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from tlstar.cli import main as cli_main
     from tlstar.graphs import enumerate_graphs, parse_graph, prune_isolated_leaves
-    from tlstar.report import run_engine
+    from tlstar.report import analyze
 
     def gb_dump(g, t: str) -> str:
         out = io.StringIO()
@@ -60,12 +66,14 @@ def main(argv: list[str]) -> int:
     k7 = parse_graph(FULLY_DASHED_K7)
     classes.setdefault(str(k7), k7)
     for text, g in classes.items():
-        result = run_engine(g).groebner
+        report = analyze(g)
+        result = report.groebner
         obstructions = sorted(result.obstructions, key=lambda w: (len(w), w))
         symbolic = gb_dump(g, "symbolic") if g.n <= SYMBOLIC_MAX_LEAVES or g == k7 else "-"
         print(f"{text}  complete={result.complete}  obstructions={digest(json.dumps(obstructions))}  "
               f"rules={digest(repr(result.rules))}  dump_half={gb_dump(g, '1/2')}  dump_symbolic={symbolic}  "
-              f"stats={digest(repr(result.stats))}",
+              f"stats={digest(repr(result.stats))}  "
+              f"report={digest(json.dumps(report.to_json_dict(), sort_keys=True))}",
               flush=True)
     return 0
 
