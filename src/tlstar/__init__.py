@@ -19,19 +19,10 @@ and over Q by `render_rules` at a rational t, and in `Rewriter`/`reduce`.
 stay exact.
 """
 
-from .automaton import AvoidanceAutomaton, build_automaton, hilbert_prefix
-from .classifier import (
-    MINIMAL_EXPONENTIAL_GRAPHS,
-    TheoremVerdict,
-    check_nu_conditions,
-    classify_by_theorem,
-)
+from .automaton import build_automaton, hilbert_prefix
+from .classifier import check_nu_conditions, classify_by_theorem
 from .graphs import (
-    CanonicalForm,
-    Embedding,
-    TwoColoredStar,
     canonical_form,
-    canonical_representative,
     contains_subgraph,
     dashed_components,
     enumerate_graphs,
@@ -39,47 +30,25 @@ from .graphs import (
     parse_graph,
     prune_isolated_leaves,
 )
-from .groebner import GroebnerResult, Rewriter, buchberger, reduce
-from .growth import (
-    FreePairCertificate,
-    GrowthClass,
-    classify_growth,
-    find_free_pair_violation,
-    search_free_pair,
-    verify_free_pair,
-)
-from .ncpoly import NcPolynomial, Word, format_word, parse_word, word_key
-from .presentation import Presentation, build_presentation, render_rules
-from .report import AnalysisReport, EngineRun, SweepResult, analyze, cross_validate, run_engine
-from .scalars import Polynomial, RationalFunction
+from .groebner import Rewriter, buchberger, reduce
+from .growth import classify_growth, find_free_pair_violation, search_free_pair, verify_free_pair
+from .ncpoly import NcPolynomial, format_word
+from .presentation import build_presentation, render_rules
+from .report import analyze, cross_validate, run_engine
+from .scalars import RationalFunction
 
 __version__ = "0.1.0"
 
+# The documented API; result and type classes stay importable from their modules.
 __all__ = [
-    "AnalysisReport",
-    "AvoidanceAutomaton",
-    "CanonicalForm",
-    "Embedding",
-    "EngineRun",
-    "FreePairCertificate",
-    "GroebnerResult",
-    "GrowthClass",
-    "MINIMAL_EXPONENTIAL_GRAPHS",
     "NcPolynomial",
-    "Polynomial",
-    "Presentation",
     "RationalFunction",
     "Rewriter",
-    "SweepResult",
-    "TheoremVerdict",
-    "TwoColoredStar",
-    "Word",
     "analyze",
     "build_automaton",
     "build_presentation",
     "buchberger",
     "canonical_form",
-    "canonical_representative",
     "check_nu_conditions",
     "classify_by_theorem",
     "classify_growth",
@@ -92,12 +61,10 @@ __all__ = [
     "hilbert_prefix",
     "is_isomorphic",
     "parse_graph",
-    "parse_word",
     "prune_isolated_leaves",
     "reduce",
     "render_rules",
     "run_engine",
     "search_free_pair",
     "verify_free_pair",
-    "word_key",
 ]

@@ -74,7 +74,7 @@ def _is_star_pattern(g: TwoColoredStar) -> bool:
     """One leaf dashed-adjacent to all others and no other dashed edges."""
     if g.n < 2 or len(g.dashed) != g.n - 1:
         return False
-    return any(g.dashed_degree(c) == g.n - 1 for c in range(1, g.n + 1))
+    return any(len(nbrs) == g.n - 1 for nbrs in g.neighbours.values())
 
 
 def _is_triangle(g: TwoColoredStar) -> bool:

@@ -7,7 +7,10 @@ structure, pruning of leaves untouched by dashed edges, isomorphism via a
 canonical form, subgraph embeddings, and exhaustive enumeration of
 configurations up to isomorphism, generated leaf by leaf, for at most
 `MAX_LEAVES` leaves.  `TwoColoredStar` is the one place that checks a
-dashed pair; `parse_graph` checks only the syntax.
+dashed pair; `parse_graph` checks only the syntax.  Each graph builds its
+neighbour map `TwoColoredStar.neighbours` (every leaf to the frozenset of
+leaves dashed to it) once, on first read, and every degree, covered leaf,
+component and embedding constraint is read off it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "dashed_components",
     "prune_isolated_leaves",
     "canonical_form",
+    "canonical_representative",
     "is_isomorphic",
     "contains_subgraph",
     "enumerate_graphs",
@@ -64,16 +68,18 @@ class TwoColoredStar:
     def sorted_dashed(self) -> list[Pair]:
         return sorted(self.dashed)
 
-    def dashed_degree(self, leaf: int) -> int:
-        return sum(1 for (i, j) in self.dashed if leaf in (i, j))
+    @functools.cached_property
+    def neighbours(self) -> dict[int, frozenset[int]]:
+        """Each leaf 1..n, ascending, mapped to the leaves dashed to it."""
+        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
+        for i, j in self.dashed:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        return {v: frozenset(s) for v, s in nbrs.items()}
 
     def covered_leaves(self) -> list[int]:
         """Leaves incident to at least one dashed edge, ascending."""
-        seen = set()
-        for i, j in self.dashed:
-            seen.add(i)
-            seen.add(j)
-        return sorted(seen)
+        return [v for v, nbrs in self.neighbours.items() if nbrs]
 
     def is_dashed(self, i: int, j: int) -> bool:
         if i > j:
@@ -149,31 +155,23 @@ def dashed_components(g: TwoColoredStar) -> tuple[list[frozenset[int]], int]:
     Leaves with no dashed edge do not form components, matching the
     convention that nu = 0 exactly when the dashed set is empty.
     """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in g.dashed:
-        parent.setdefault(i, i)
-        parent.setdefault(j, j)
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: dict[int, set[int]] = {}
-    for leaf in parent:
-        groups.setdefault(find(leaf), set()).add(leaf)
-    partition = sorted((frozenset(s) for s in groups.values()), key=min)
+    partition: list[frozenset[int]] = []
+    for leaf in g.covered_leaves():  # ascending, so parts come out ordered by least leaf
+        if any(leaf in part for part in partition):
+            continue
+        part, frontier = {leaf}, [leaf]
+        while frontier:
+            new = g.neighbours[frontier.pop()] - part
+            part |= new
+            frontier.extend(new)
+        partition.append(frozenset(part))
     return partition, len(partition)
 
 
 def prune_isolated_leaves(g: TwoColoredStar) -> tuple[TwoColoredStar, tuple[int, ...]]:
     """Drop leaves with no dashed edge, relabelling the rest 1..n' in order."""
     kept = g.covered_leaves()
-    removed = tuple(leaf for leaf in range(1, g.n + 1) if leaf not in set(kept))
+    removed = tuple(v for v, nbrs in g.neighbours.items() if not nbrs)
     newlabel = {old: k + 1 for k, old in enumerate(kept)}
     dashed = [(newlabel[i], newlabel[j]) for i, j in g.dashed]
     return TwoColoredStar(len(kept), dashed), removed
@@ -217,9 +215,7 @@ def canonical_representative(g: TwoColoredStar) -> TwoColoredStar:
 def is_isomorphic(g1: TwoColoredStar, g2: TwoColoredStar) -> bool:
     if g1.n != g2.n or len(g1.dashed) != len(g2.dashed):
         return False
-    deg1 = sorted(g1.dashed_degree(v) for v in range(1, g1.n + 1))
-    deg2 = sorted(g2.dashed_degree(v) for v in range(1, g2.n + 1))
-    if deg1 != deg2:
+    if sorted(map(len, g1.neighbours.values())) != sorted(map(len, g2.neighbours.values())):
         return False
     return canonical_form(g1) == canonical_form(g2)
 
@@ -233,15 +229,10 @@ def contains_subgraph(host: TwoColoredStar, pattern: TwoColoredStar) -> Optional
     """
     if pattern.n > host.n:
         return None
-    host_deg = {v: host.dashed_degree(v) for v in range(1, host.n + 1)}
-    pat_deg = {v: pattern.dashed_degree(v) for v in range(1, pattern.n + 1)}
+    host_nbrs, pat_nbrs = host.neighbours, pattern.neighbours
     # Place high-degree pattern leaves first; ties by label for determinism.
-    order = sorted(range(1, pattern.n + 1), key=lambda v: (-pat_deg[v], v))
-    neighbors = {v: [] for v in order}
-    for idx, v in enumerate(order):
-        for u in order[:idx]:
-            if pattern.is_dashed(u, v):
-                neighbors[v].append(u)
+    order = sorted(pat_nbrs, key=lambda v: (-len(pat_nbrs[v]), v))
+    placed = {v: pat_nbrs[v] & set(order[:idx]) for idx, v in enumerate(order)}
 
     assignment: dict[int, int] = {}
     used: set[int] = set()
@@ -250,10 +241,10 @@ def contains_subgraph(host: TwoColoredStar, pattern: TwoColoredStar) -> Optional
         if idx == len(order):
             return True
         v = order[idx]
-        for w in range(1, host.n + 1):
-            if w in used or host_deg[w] < pat_deg[v]:
+        for w, w_nbrs in host_nbrs.items():
+            if w in used or len(w_nbrs) < len(pat_nbrs[v]):
                 continue
-            if all(host.is_dashed(assignment[u], w) for u in neighbors[v]):
+            if all(assignment[u] in w_nbrs for u in placed[v]):
                 assignment[v] = w
                 used.add(w)
                 if backtrack(idx + 1):
@@ -269,13 +260,8 @@ def contains_subgraph(host: TwoColoredStar, pattern: TwoColoredStar) -> Optional
 
 def _degree_profile(g: TwoColoredStar) -> tuple:
     """Each leaf's degree with its neighbours' sorted degrees, as a sorted tuple."""
-    neighbors: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for i, j in g.dashed:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    return tuple(sorted(
-        (len(nbrs), tuple(sorted(len(neighbors[u]) for u in nbrs))) for nbrs in neighbors.values()
-    ))
+    nbrs = g.neighbours
+    return tuple(sorted((len(vs), tuple(sorted(len(nbrs[u]) for u in vs))) for vs in nbrs.values()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,7 +14,9 @@ each that way), and
 `reference_buchberger` completes relations with plain scalar polynomial
 arithmetic instead of the package's tagged binomial rules, and
 `reference_reduce` reduces whole polynomials under a choice of rewriting
-strategies instead of the package's word-by-word rewriting.  The small
+strategies instead of the package's word-by-word rewriting.
+`reference_components` partitions the dashed pairs by union-find instead of
+the package's search over each graph's neighbour map.  The small
 helpers only tests need (`compare_words`, `relabel`, `delete_dashed_edge`,
 `embedding_is_valid`) live here too.
 """
@@ -262,6 +264,28 @@ def brute_force_embedding(host: TwoColoredStar, pattern: TwoColoredStar):
                for i, j in pattern.dashed):
             return mapping
     return None
+
+
+def reference_components(g: TwoColoredStar) -> list[frozenset[int]]:
+    """Dashed components of the covered leaves by union-find over the pairs, ordered by least leaf."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in g.dashed:
+        parent.setdefault(i, i)
+        parent.setdefault(j, j)
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    groups: dict[int, set[int]] = {}
+    for leaf in parent:
+        groups.setdefault(find(leaf), set()).add(leaf)
+    return sorted((frozenset(s) for s in groups.values()), key=min)
 
 
 def brute_force_classes(n: int) -> list[TwoColoredStar]:

@@ -12,6 +12,7 @@ from oracles import (
     delete_dashed_edge,
     embedding_is_valid,
     least_relabelling,
+    reference_components,
     relabel,
 )
 from tlstar import graphs
@@ -149,6 +150,30 @@ def stars_with_permutation(draw, max_n=5):
     return g, dict(zip(leaves, image))
 
 
+@st.composite
+def hosts_and_patterns(draw):
+    """A host on at most 7 leaves and a pattern on at most 5: drawn freely, or cut from the host."""
+    host = draw(stars(max_n=7))
+    if draw(st.booleans()):
+        return host, draw(stars(max_n=5))
+    leaves = draw(st.lists(st.integers(1, host.n), min_size=1, max_size=min(5, host.n), unique=True))
+    label = {v: k + 1 for k, v in enumerate(leaves)}
+    inside = [(label[i], label[j]) for i, j in host.sorted_dashed() if i in label and j in label]
+    kept = draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+    return host, TwoColoredStar(len(leaves), kept)
+
+
+@given(stars(max_n=8))
+@settings(deadline=None)
+def test_graph_facts_match_the_pairs(g):
+    partition = reference_components(g)
+    assert dashed_components(g) == (partition, len(partition))
+    assert g.covered_leaves() == sorted({v for pair in g.dashed for v in pair})
+    assert list(g.neighbours) == list(range(1, g.n + 1))
+    for v in range(1, g.n + 1):
+        assert len(g.neighbours[v]) == sum(v in pair for pair in g.dashed)
+
+
 @given(stars_with_permutation())
 def test_certificate_invariant_under_relabelling(gp):
     g, perm = gp
@@ -232,9 +257,10 @@ class TestSubgraph:
     def test_pattern_larger_than_host(self):
         assert contains_subgraph(parse_graph("K(3;)"), parse_graph("K(4;)")) is None
 
-    @given(stars(max_n=4), stars(max_n=4))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force(self, host, pattern):
+    @given(hosts_and_patterns())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, host_pattern):
+        host, pattern = host_pattern
         emb = contains_subgraph(host, pattern)
         brute = brute_force_embedding(host, pattern)
         assert (emb is None) == (brute is None)

@@ -1,6 +1,12 @@
-"""Print one digest line per pruned class, to compare the engine's output across two trees.
+"""Print digest lines of the enumeration and of each pruned class, to compare two trees.
 
-The classes are every pruned class with at most N leaves (default 7),
+First comes one line per leaf count n <= N: n, the number of classes in
+``enumerate_graphs(n)``, and the first 16 hex digits of the sha256 of their
+``str(g)`` texts, one per line, in the order the enumeration returns them.
+This covers the representatives and their order, not only the set of
+pruned classes.
+
+Then comes one line per class.  The classes are every pruned class with at most N leaves (default 7),
 taken from the enumeration, plus the fully dashed 7-leaf star.  Each line
 holds the class, whether completion finished, and the first 16 hex digits
 of the sha256 of
@@ -22,8 +28,8 @@ Usage: python tools/engine_digest.py [SRC_DIR] [--max-leaves N]
 
 To check that a change leaves the engine alone, run it on both trees and
 compare: ``diff <(python tools/engine_digest.py old/src) <(python
-tools/engine_digest.py new/src)``.  The n <= 7 run takes about 75 s on a
-2-core x86-64 box with CPython 3.11, ~11 s of it enumeration.
+tools/engine_digest.py new/src)``.  The n <= 7 run takes 50-75 s on a
+2-core x86-64 box with CPython 3.11, 7-11 s of it enumeration.
 """
 
 import argparse
@@ -60,7 +66,10 @@ def main(argv: list[str]) -> int:
 
     classes = {}
     for n in range(1, args.max_leaves + 1):
-        for g in enumerate_graphs(n):
+        graphs = enumerate_graphs(n)
+        texts = "".join(f"{g}\n" for g in graphs)
+        print(f"n={n}  classes={len(graphs)}  enumeration={digest(texts)}", flush=True)
+        for g in graphs:
             pruned, _ = prune_isolated_leaves(g)
             classes.setdefault(str(pruned), pruned)
     k7 = parse_graph(FULLY_DASHED_K7)
