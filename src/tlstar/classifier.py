@@ -5,8 +5,20 @@ by the shape of the dashed graph alone: the all-from-one-leaf star pattern
 and the triangle on three leaves are the finite-dimensional cases; every
 other configuration on exactly four covered leaves has linear growth; and
 everything else is exponential, witnessed by an embedded copy of one of
-three minimal exponential configurations.  The number of dashed components
-gives independent necessary conditions that every verdict must satisfy.
+two minimal exponential configurations, P3 + K2 and 3K2.  The number of
+dashed components gives independent necessary conditions that every
+verdict must satisfy.
+
+Two patterns suffice for every n.  Lemma: a graph with at least 5 covered
+leaves that is not a star contains P3 + K2 or 3K2.  Proof: take a maximum
+matching M.  If |M| >= 3, the graph contains 3K2.  If |M| = 1, every edge
+meets the one edge of M, so the graph is a star or a triangle.  If
+|M| = 2, say ab and cd, a fifth covered leaf e has an edge, which meets
+{a, b, c, d} since M is maximum; say e-a.  Then e-a-b and c-d are a
+P3 + K2.  The exponential branch is exactly a pruned graph on at least 5
+leaves that is not a star, so the witness search never fails; the
+`RuntimeError` it raises if it did is the check that the list below and
+the lemma agree.
 """
 
 from __future__ import annotations
@@ -33,11 +45,10 @@ FINITE = "finite"
 POLYNOMIAL_LINEAR = "polynomial-linear"
 EXPONENTIAL = "exponential"
 
-# Minimal exponential configurations, tried in this order for witnesses.
+# The minimal exponential configurations P3 + K2 and 3K2, tried in this order for witnesses.
 MINIMAL_EXPONENTIAL_GRAPHS: tuple[TwoColoredStar, ...] = (
     TwoColoredStar(5, [(1, 2), (2, 3), (4, 5)]),
     TwoColoredStar(6, [(1, 6), (2, 3), (4, 5)]),
-    TwoColoredStar(5, [(1, 2), (1, 4), (1, 5), (2, 3)]),
 )
 
 
@@ -77,25 +88,22 @@ def _is_star_pattern(g: TwoColoredStar) -> bool:
     return any(len(nbrs) == g.n - 1 for nbrs in g.neighbours.values())
 
 
-def _is_triangle(g: TwoColoredStar) -> bool:
-    return g.n == 3 and len(g.dashed) == 3
-
-
 def classify_by_theorem(g: TwoColoredStar) -> TheoremVerdict:
     """Classify growth from the pruned dashed graph alone.
 
     Exponential verdicts always carry a verified embedding of one of the
-    minimal exponential configurations; failing to find one would falsify
-    the classification and raises rather than being swallowed.
+    two minimal exponential configurations, which the lemma above
+    guarantees; failing to find one would falsify the classification and
+    raises rather than being swallowed.
     """
-    pruned, _removed = prune_isolated_leaves(g)
+    pruned, _ = prune_isolated_leaves(g)
     _, nu = dashed_components(pruned)
 
     if pruned.n == 0:
         return TheoremVerdict(FINITE, "(i)-empty", nu)
     if _is_star_pattern(pruned):
         return TheoremVerdict(FINITE, "(i)-star", nu)
-    if _is_triangle(pruned):
+    if pruned.n == 3 and len(pruned.dashed) == 3:
         return TheoremVerdict(FINITE, "(i)-triangle", nu)
     if pruned.n == 4:
         return TheoremVerdict(POLYNOMIAL_LINEAR, "(ii)", nu)

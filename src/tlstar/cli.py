@@ -25,6 +25,7 @@ import errno
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -316,22 +317,24 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.json:
-            _check_json_target(args.json)
-        if "t" in args:
-            args.t_value, args.t_label = parameter(args.t)
-        code, payload = args.func(args)
-        if "t" in args:
-            payload["t"] = args.t_label
-        if args.json:
-            _write_json(args.json, payload)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except RuntimeError as exc:  # no theorem witness in the exponential branch, or a refuted free pair
-        print(f"error: {exc}", file=sys.stderr)
-        return DISCREPANCY
+    with warnings.catch_warnings():  # each warning as one line, without Python's source location
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.json:
+                _check_json_target(args.json)
+            if "t" in args:
+                args.t_value, args.t_label = parameter(args.t)
+            code, payload = args.func(args)
+            if "t" in args:
+                payload["t"] = args.t_label
+            if args.json:
+                _write_json(args.json, payload)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        except RuntimeError as exc:  # no theorem witness in the exponential branch, or a refuted free pair
+            print(f"error: {exc}", file=sys.stderr)
+            return DISCREPANCY
     return code
 
 

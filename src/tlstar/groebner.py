@@ -629,14 +629,13 @@ def _complete(rules: tuple[tuple, ...], bound: int, memo: dict) -> tuple[tuple[t
     return _TaggedCompletion(rules, bound).run()
 
 
-def check_degree_bound(pres: Presentation, degree_bound: Optional[int] = None) -> int:
-    """The completion degree bound for pres: the given one, or 2n + 8 when None.
+def check_degree_bound(n: int, max_rel_degree: int, degree_bound: Optional[int] = None) -> int:
+    """The completion degree bound on n leaves: the given one, or 2n + 8 when None.
 
     Raises ValueError when the bound is below the largest relation degree.
     """
     if degree_bound is None:
-        degree_bound = 2 * pres.n + 8
-    max_rel_degree = max((len(lead) for lead, _ in pres.rules), default=0)
+        degree_bound = 2 * n + 8
     if degree_bound < max_rel_degree:
         raise ValueError(
             f"degree bound {degree_bound} is smaller than the largest relation degree {max_rel_degree}"
@@ -651,7 +650,8 @@ def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> Groebn
     leading words of length up to n + 2, which is where all observed bases
     in this family live, so completions normally certify completeness.
     """
-    degree_bound = check_degree_bound(pres, degree_bound)
+    max_rel_degree = max((len(lead) for lead, _ in pres.rules), default=0)
+    degree_bound = check_degree_bound(pres.n, max_rel_degree, degree_bound)
     rules = tuple(
         ("".join(map(chr, lead)), None if rhs is None else (rhs[0], rhs[1], "".join(map(chr, rhs[2]))))
         for lead, rhs in pres.rules

@@ -23,7 +23,7 @@ from .graphs import TwoColoredStar
 from .ncpoly import NcPolynomial, Word
 from .scalars import RationalFunction
 
-__all__ = ["Presentation", "build_presentation", "render_rules"]
+__all__ = ["Presentation", "build_presentation", "max_relation_degree", "render_rules"]
 
 # (lead, rhs): rhs (sign, exp, word) for lead -> sign * t**exp * word, None for lead -> 0.
 Rule = tuple[Word, Optional[tuple[int, int, Word]]]
@@ -84,3 +84,12 @@ def build_presentation(g: TwoColoredStar) -> Presentation:
             else:
                 rules += [((i, j), None), ((j, i), None)]
     return Presentation(n=n, rules=tuple(rules))
+
+
+def max_relation_degree(n: int) -> int:
+    """Largest relation degree of `build_presentation` of any graph on n leaves.
+
+    The words p_i p_0 p_i and p_0 p_i p_0 have degree 3 once a leaf
+    exists; with none, p_0 p_0 = p_0 has degree 2.
+    """
+    return 3 if n >= 1 else 2

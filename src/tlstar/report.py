@@ -37,7 +37,7 @@ from .graphs import (  # noqa: F401
 from .groebner import GroebnerResult, buchberger, check_degree_bound
 from .growth import (EXPONENTIAL, FINITE, POLYNOMIAL, FreePairCertificate, GrowthClass, classify_growth,
                      search_free_pair)
-from .presentation import Presentation, build_presentation
+from .presentation import Presentation, build_presentation, max_relation_degree
 
 __all__ = ["AnalysisReport", "EngineRun", "SweepResult", "analyze", "cross_validate", "run_engine"]
 
@@ -135,7 +135,7 @@ def analyze(
     check_max_degree(max_degree)
     if method == "theorem":
         # The engine checks the bound before completing; without it, check it here.
-        check_degree_bound(build_presentation(g), degree_bound)
+        check_degree_bound(g.n, max_relation_degree(g.n), degree_bound)
     t_total = time.perf_counter()
     pruned, removed = prune_isolated_leaves(g)
     verdict = classify_by_theorem(g)

@@ -1,6 +1,7 @@
 """The package root exports the documented API: the names the README lists and the demos import."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -24,3 +25,15 @@ def test_demos_import_only_root_exports():
 
 def test_root_exports_resolve():
     assert all(hasattr(tlstar, name) for name in tlstar.__all__)
+
+
+def test_tracer_hook_names_resolve():
+    # The benchmark's tracer wraps each name in HOOKS in the module that calls
+    # it; some of those imports (marked noqa) exist only for the tracer.
+    tree = ast.parse((ROOT / "benchmarks" / "worker.py").read_text(encoding="utf-8"))
+    hooks = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HOOKS"])
+    names = [(module, name) for module, attrs in hooks.items() for name in attrs]
+    assert names
+    for module, name in names:
+        assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"

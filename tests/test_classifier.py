@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from oracles import embedding_is_valid, relabel
-from test_graphs import stars_with_permutation
+from oracles import delete_dashed_edge, embedding_is_valid, relabel
+from test_graphs import stars, stars_with_permutation
 from tlstar.classifier import (
     MINIMAL_EXPONENTIAL_GRAPHS,
     check_nu_conditions,
@@ -10,6 +10,7 @@ from tlstar.classifier import (
 )
 from tlstar.graphs import (
     TwoColoredStar,
+    canonical_form,
     enumerate_graphs,
     parse_graph,
     prune_isolated_leaves,
@@ -124,3 +125,34 @@ def test_agrees_with_engine_on_small_classes(engine):
     for n in (1, 2, 3, 4):
         for g in enumerate_graphs(n):
             assert classify_by_theorem(g).coarse_growth == engine.coarse(g), str(g)
+
+
+def test_edge_minimal_exponential_classes_are_the_patterns(engine):
+    # From engine verdicts alone: the exponential classes with no isolated
+    # leaf in which deleting any one dashed edge leaves a non-exponential
+    # graph.  They are the patterns, up to isomorphism.
+    minimal = [
+        g for n in range(1, 7) for g in enumerate_graphs(n)
+        if not prune_isolated_leaves(g)[1] and engine.coarse(g) == "exponential"
+        and all(engine.coarse(delete_dashed_edge(g, pair)) != "exponential" for pair in g.sorted_dashed())
+    ]
+    assert sorted(canonical_form(g).key for g in minimal) == sorted(
+        canonical_form(p).key for p in MINIMAL_EXPONENTIAL_GRAPHS)
+
+
+@given(stars(min_n=5, max_n=10))
+@example(TwoColoredStar(7, [(1, 7), (2, 3), (4, 5)]))  # matchings need 3K2, which random draws rarely give
+@example(TwoColoredStar(10, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)]))
+@settings(max_examples=200, deadline=None)
+def test_two_patterns_witness_every_exponential_graph(g):
+    # The lemma in `classifier`, past the exhaustive sweep: exponential
+    # exactly when at least 5 leaves are covered and no leaf lies on every
+    # pair, and then one of the two patterns embeds.
+    v = classify_by_theorem(g)
+    covered = {leaf for pair in g.dashed for leaf in pair}
+    star = any(all(leaf in pair for pair in g.dashed) for leaf in covered)
+    assert (v.coarse == "exponential") == (len(covered) >= 5 and not star)
+    assert (v.witness is not None) == (v.coarse == "exponential")
+    if v.witness is not None:
+        assert v.witness_pattern in MINIMAL_EXPONENTIAL_GRAPHS
+        assert embedding_is_valid(v.witness, g, v.witness_pattern)

@@ -106,6 +106,14 @@ class TestClassify:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    def test_duplicate_pair_warns_on_one_line(self, capsys):
+        assert run_cli("classify", "K(3; 1-2)") == 0
+        want = capsys.readouterr().out
+        assert run_cli("classify", "K(3; 1-2, 2-1)") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: duplicate dashed pair 1-2 in 'K(3; 1-2, 2-1)'\n"
+        assert captured.out == want
+
     def test_json_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli("classify", "K(4; 1-2,3-4)", "--json", str(p1)) == 0

@@ -135,8 +135,8 @@ class TestIsomorphism:
 
 
 @st.composite
-def stars(draw, max_n=5):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def stars(draw, max_n=5, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True)) if pairs else []
     return TwoColoredStar(n, chosen)

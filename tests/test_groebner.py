@@ -23,7 +23,7 @@ from tlstar.groebner import (
     reduce,
 )
 from tlstar.ncpoly import NcPolynomial
-from tlstar.presentation import Presentation, build_presentation, render_rules
+from tlstar.presentation import Presentation, build_presentation, max_relation_degree, render_rules
 from tlstar.scalars import Polynomial, RationalFunction, T
 
 ONE = T / T
@@ -312,7 +312,7 @@ class TestReferenceCompletion:
         # largest letter; the same rules renumbered past 255 and past 65,535
         # must complete to the same result, counters included.
         pres = build_presentation(parse_graph(text))
-        bound = check_degree_bound(pres, bound)
+        bound = check_degree_bound(pres.n, max_relation_degree(pres.n), bound)
         want = buchberger(pres, bound)
         for offset in (296, 70_000):
             shift = {0: 0, **{k: k + offset for k in range(1, pres.n + 1)}}
@@ -517,7 +517,7 @@ class TestDeckSeeding:
         # two cards share has one right-hand side, and the leads form an
         # antichain, so the seeds go in as rules without any reduction.
         pres = build_presentation(parse_graph(text))
-        bound = check_degree_bound(pres)
+        bound = check_degree_bound(pres.n, max_relation_degree(pres.n))
         union = {}
         for kept, card in _cards(_str_rules(pres)):
             rules, complete, _ = _TaggedCompletion(card, bound).run()

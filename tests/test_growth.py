@@ -211,14 +211,23 @@ class TestSearchFreePair:
         assert captured.err.startswith("error: ") and "not a free pair" in captured.err
 
 
+def _assert_edge_deletion_never_increases_growth(engine, n):
+    for g in enumerate_graphs(n):
+        before = COARSE_ORDER[engine.coarse(g)]
+        for pair in g.sorted_dashed():
+            after = COARSE_ORDER[engine.coarse(delete_dashed_edge(g, pair))]
+            assert after <= before, (str(g), pair)
+
+
 class TestMonotonicity:
     def test_edge_deletion_never_increases_growth(self, engine):
         for n in (1, 2, 3, 4):
-            for g in enumerate_graphs(n):
-                before = COARSE_ORDER[engine.coarse(g)]
-                for pair in g.sorted_dashed():
-                    after = COARSE_ORDER[engine.coarse(delete_dashed_edge(g, pair))]
-                    assert after <= before, (str(g), pair)
+            _assert_edge_deletion_never_increases_growth(engine, n)
+
+    def test_edge_deletion_never_increases_growth_on_six_leaves(self, engine):
+        # Growth that only grows with the dashed set is what lets a witness
+        # pattern embed without being induced; criterion 6 covers n <= 5.
+        _assert_edge_deletion_never_increases_growth(engine, 6)
 
     def test_pruning_preserves_growth(self, engine):
         for n in (1, 2, 3, 4):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 
 from oracles import relabel
 from test_graphs import stars_with_permutation
-from tlstar.graphs import parse_graph
+from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
 from tlstar.ncpoly import NcPolynomial
-from tlstar.presentation import Presentation, build_presentation, render_rules
+from tlstar.presentation import Presentation, build_presentation, max_relation_degree, render_rules
 from tlstar.scalars import RationalFunction
 
 
@@ -30,6 +30,12 @@ class TestRelationCounts:
         pres = build_presentation(g)
         pairs = 5 * 4 // 2
         assert len(pres.relations) == (5 + 1) + 2 * 5 + 3 + 2 * (pairs - 3)
+
+    def test_max_relation_degree_from_leaf_count(self):
+        graphs = [TwoColoredStar(0, [])] + [g for n in range(1, 8) for g in enumerate_graphs(n)]
+        for g in graphs:
+            pres = build_presentation(g)
+            assert max(len(lead) for lead, _ in pres.rules) == max_relation_degree(g.n), str(g)
 
 
 class TestRelationContent:
