@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: classify, hilbert, gb, crossvalidate, witness, enumerate.
-Exit codes: 0 success/agreement, 1 usage or parse error or an unwritable
---json path, 2 mathematical discrepancy (engine vs structural classifier
-mismatch, violated component conditions, truncated completion in a sweep, a
-failed witness check, a free pair found or verified on a truncated
-completion, an exponential-branch graph in which the theorem finds no
-witness, or a searched free pair that the obstructions refute).
+Exit codes: 0 success/agreement, 1 usage or parse error (a warning turned
+into an error by ``-W error`` included) or an unwritable --json path, 2
+mathematical discrepancy (engine vs structural classifier mismatch,
+violated component conditions, truncated completion in a sweep, a failed
+witness check, a free pair found or verified on a truncated completion, an
+exponential-branch graph in which the theorem finds no witness, or a
+searched free pair that the obstructions refute).
 JSON output is schema-stable and byte-deterministic for fixed inputs and
 flags; wall-clock timings are only emitted behind --timings.  Every
 subcommand returns its exit code and its JSON payload, and `main` alone
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
                 payload["t"] = args.t_label
             if args.json:
                 _write_json(args.json, payload)
-        except ValueError as exc:
+        except (ValueError, Warning) as exc:  # a warning that the filters (`-W error`) turn into an error
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
         except RuntimeError as exc:  # no theorem witness in the exponential branch, or a refuted free pair

@@ -212,12 +212,6 @@ class RationalFunction:
     def t(cls) -> "RationalFunction":
         return cls(Polynomial.variable())
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
-
     def __bool__(self) -> bool:
         return bool(self.num)
 

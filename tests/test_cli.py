@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +114,14 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.err == "warning: duplicate dashed pair 1-2 in 'K(3; 1-2, 2-1)'\n"
         assert captured.out == want
+
+    def test_duplicate_pair_under_warnings_as_errors_is_one_error_line(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("classify", "K(3; 1-2, 2-1)") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: duplicate dashed pair 1-2 in 'K(3; 1-2, 2-1)'\n"
+        assert captured.out == ""
 
     def test_json_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     is_antichain,
@@ -16,7 +17,9 @@ from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
 from tlstar.groebner import (
     Rewriter,
     _cards,
+    _LeadTable,
     _relabel,
+    _Rule,
     _TaggedCompletion,
     buchberger,
     check_degree_bound,
@@ -525,3 +528,94 @@ class TestDeckSeeding:
             for lead, rhs in _relabel(rules, kept):
                 assert union.setdefault(lead, rhs) == rhs
         assert is_antichain({tuple(map(ord, lead)) for lead in union})
+
+
+LEADS = st.sets(st.text(alphabet="abc", max_size=4), max_size=8)
+
+
+class TestLeadTable:
+    @settings(max_examples=300, deadline=None)
+    @given(leads=LEADS, removed=LEADS, word=st.text(alphabet="abc", max_size=12))
+    @example(leads={""}, removed=set(), word="")  # the unit ideal's lead occurs in the empty word
+    @example(leads={"", "ab"}, removed=set(), word="ab")
+    @example(leads={"ab"}, removed=set(), word="")
+    @example(leads={"", "a"}, removed={""}, word="ba")
+    def test_find_is_the_least_position_then_length(self, leads, removed, word):
+        # The completion's `_normal` rewrites at this occurrence and relies
+        # on it being the leftmost: an independent scan of every occurrence.
+        table = _LeadTable()
+        for i, lead in enumerate(sorted(leads)):
+            table.add(_Rule(i, lead, None))
+        for rule in list(table.by_lead.values()):
+            if rule.lead in removed:
+                table.remove(rule)
+        live = leads - removed
+        hits = [(p, len(u)) for u in live for p in range(len(word) - len(u) + 1) if word[p:p + len(u)] == u]
+        found = table.find(word)
+        if not hits:
+            assert found is None
+            return
+        pos, rule = found
+        assert rule.lead in live and word[pos:pos + len(rule.lead)] == rule.lead
+        assert (pos, len(rule.lead)) == min(hits)
+
+
+def _leftmost_normal(index, sign, exp, w):
+    """Tagged normal form of sign * t**exp * w, rewriting at ``index.find`` without a memo."""
+    while (found := index.find(w)) is not None:
+        pos, rule = found
+        if rule.rhs is None:
+            return None
+        s, e, r = rule.rhs
+        w = w[:pos] + r + w[pos + len(rule.lead):]
+        sign, exp = sign * s, exp + e
+    return sign, exp, w
+
+
+def _rewrite_path(index, w):
+    """Every word the leftmost rewriting of w passes through, w first."""
+    path = [w]
+    while (found := index.find(w)) is not None and found[1].rhs is not None:
+        pos, rule = found
+        w = w[:pos] + rule.rhs[2] + w[pos + len(rule.lead):]
+        path.append(w)
+    return path
+
+
+class TestNormalFormMemo:
+    """`_TaggedCompletion._normal` with a warm memo against memo-free leftmost rewriting."""
+
+    def _check(self, pres, bound, seed, words=40):
+        completion = _TaggedCompletion(_str_rules(pres), bound)
+        _, complete, _ = completion.run()
+        index = completion.index
+        letters = sorted(set("".join(index.by_lead)))
+        rng = random.Random(seed)
+        hits = 0
+        for _ in range(words):
+            w = "".join(rng.choices(letters, k=rng.randint(0, 2 * bound)))
+            # The words on w's own rewriting path are memoised with tags
+            # relative to w; ask for them too, in random order.
+            path = _rewrite_path(index, w)
+            rng.shuffle(path)
+            for v in [w] + path:
+                hits += v in completion.memo
+                assert completion._normal(1, 0, v) == _leftmost_normal(index, 1, 0, v), v
+        assert hits > 0
+        return complete
+
+    def test_every_class_up_to_four_leaves(self):
+        for n in range(1, 5):
+            for k, g in enumerate(enumerate_graphs(n)):
+                pres = build_presentation(g)
+                bound = check_degree_bound(pres.n, max_relation_degree(pres.n))
+                assert self._check(pres, bound, seed=100 * n + k), str(g)
+
+    def test_fully_dashed_five_leaves_truncated(self):
+        assert not self._check(build_presentation(_fully_dashed(5)), 8, seed=5)
+
+    def test_anticommuting_letters(self):
+        # Star presentations rewrite with sign +1 only; here every rule flips
+        # the sign, so a wrong relative sign in the memo shows.
+        rules = (((1, 0), (-1, 0, (0, 1))), ((2, 1), (-1, 1, (1, 2))), ((2, 0), (-1, 0, (0, 2))))
+        assert self._check(Presentation(n=2, rules=rules), 8, seed=7)

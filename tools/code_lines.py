@@ -18,15 +18,23 @@ NON_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, to
             tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def code_lines(source: str) -> int:
-    """Number of lines of source that hold a token outside comments and docstrings."""
-    docstring_lines = set()
-    for node in ast.walk(ast.parse(source)):
+def docstrings(tree: ast.AST) -> list[ast.Expr]:
+    """The docstring statements of the module, its classes and its functions."""
+    out = []
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             body = node.body
             if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
                     and isinstance(body[0].value.value, str):
-                docstring_lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+                out.append(body[0])
+    return out
+
+
+def code_lines(source: str) -> int:
+    """Number of lines of source that hold a token outside comments and docstrings."""
+    docstring_lines = set()
+    for doc in docstrings(ast.parse(source)):
+        docstring_lines.update(range(doc.lineno, doc.end_lineno + 1))
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NON_CODE:
