@@ -105,8 +105,16 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="'symbolic' (default) or a rational in (0,1) such as 1/2; only labels and renders")
 
 
+def _check_hilbert_degree(max_degree: int, cap: int = DEFAULT_HILBERT_CAP) -> None:
+    """Refuse a normal-word count prefix longer than the cap, or negative, before any completion."""
+    if max_degree > cap:
+        raise ValueError(f"max degree {max_degree} exceeds the cap {cap}")
+    check_max_degree(max_degree)
+
+
 def _cmd_classify(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
+    _check_hilbert_degree(args.max_degree)
     report = analyze(g, method=args.method, degree_bound=args.degree_bound, max_degree=args.max_degree)
     print(f"graph:    {g}")
     print(f"pruned:   {report.pruned}  (removed leaves: {list(report.removed_leaves) or 'none'})")
@@ -143,9 +151,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 def _cmd_hilbert(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
-    if args.max_degree > args.cap:
-        raise ValueError(f"max degree {args.max_degree} exceeds the cap {args.cap}")
-    check_max_degree(args.max_degree)
+    _check_hilbert_degree(args.max_degree, args.cap)
     run = run_engine(g, args.degree_bound)
     complete = run.groebner.complete
     prefix = hilbert_prefix(run.automaton, args.max_degree)
@@ -274,7 +280,7 @@ def _build_parser() -> _Parser:
     p.add_argument("graph", help="graph text, e.g. \"K(5; 1-2,2-3,4-5)\"")
     p.add_argument("--method", choices=("both", "theorem"), default="both")
     p.add_argument("--max-degree", type=int, default=DEFAULT_HILBERT_DEGREE, metavar="N",
-                   help="length of the reported normal-word count prefix")
+                   help=f"length of the reported normal-word count prefix (at most {DEFAULT_HILBERT_CAP})")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings in JSON")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_classify)

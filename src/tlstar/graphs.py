@@ -212,11 +212,8 @@ def canonical_representative(g: TwoColoredStar) -> TwoColoredStar:
 
 
 def is_isomorphic(g1: TwoColoredStar, g2: TwoColoredStar) -> bool:
-    if g1.n != g2.n or len(g1.dashed) != len(g2.dashed):
-        return False
-    if sorted(map(len, g1.neighbours.values())) != sorted(map(len, g2.neighbours.values())):
-        return False
-    return canonical_form(g1) == canonical_form(g2)
+    # The degree profile holds one entry per leaf and fixes the edge count.
+    return _degree_profile(g1) == _degree_profile(g2) and canonical_form(g1) == canonical_form(g2)
 
 
 def contains_subgraph(host: TwoColoredStar, pattern: TwoColoredStar) -> Optional[Embedding]:

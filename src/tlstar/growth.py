@@ -14,6 +14,8 @@ the certificate: its first two internal edges start two cycles through it,
 whose labels begin with different letters, so every concatenation of the
 two labels is normal and they generate a free subalgebra on two
 generators.  Every exponential verdict therefore carries a free pair.
+The free-pair check searches the windows as `str` words, in the encoding
+that `ncpoly.encode_word` owns, so letters must lie below 0x110000.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automaton import AvoidanceAutomaton, Edges
-from .ncpoly import Word, find_factor, format_word, word_key
+from .ncpoly import Word, decode_word, encode_word, format_word, word_key
 
 __all__ = [
     "GrowthClass",
@@ -124,14 +126,14 @@ def find_free_pair_violation(q1: Word, q2: Word, obs: frozenset[Word]):
     if q1 == q2:
         raise ValueError("free-pair blocks must be distinct")
     window = free_pair_window_bound(q1, q2, obs)
-    blocks = (q1, q2)
-    obs_sorted = sorted(obs, key=word_key)
+    blocks = (encode_word(q1), encode_word(q2))
+    obs_sorted = [(o, encode_word(o)) for o in sorted(obs, key=word_key)]
     for choice in itertools.product((0, 1), repeat=window):
-        word = tuple(x for b in choice for x in blocks[b])
-        for o in obs_sorted:
-            pos = find_factor(word, o)
+        word = "".join(blocks[b] for b in choice)
+        for o, encoded in obs_sorted:
+            pos = word.find(encoded)
             if pos >= 0:
-                return choice, word, pos, o
+                return choice, decode_word(word), pos, o
     return None
 
 

@@ -5,6 +5,12 @@ free monoid.  Words are compared degree first, ties broken lexicographically
 with p_0 < p_1 < ... < p_n, which is a total, multiplicative, well-founded
 order, so leading words of nonzero polynomials are well defined and
 rewriting terminates.
+
+`encode_word` and `decode_word` own the one other encoding of a word: a
+`str` with one code point per letter, so letters must lie below 0x110000.
+A `str` slices, concatenates, hashes and searches (`str.find`) cheaply and
+compares by code point, so the deg-lex order is the same on both
+encodings.  Completion and the free-pair check work on it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from typing import Iterable, Mapping, Tuple
 __all__ = [
     "Word",
     "word_key",
-    "find_factor",
+    "encode_word",
+    "decode_word",
     "format_word",
     "parse_word",
     "NcPolynomial",
@@ -28,16 +35,14 @@ def word_key(w: Word):
     return (len(w), w)
 
 
-def find_factor(w: Word, factor: Word) -> int:
-    """Leftmost position where ``factor`` occurs inside ``w``, or -1."""
-    lf = len(factor)
-    if lf == 0:
-        return 0
-    first = factor[0]
-    for pos in range(len(w) - lf + 1):
-        if w[pos] == first and w[pos:pos + lf] == factor:
-            return pos
-    return -1
+def encode_word(w: Word) -> str:
+    """The word as a `str`, one code point per letter."""
+    return "".join(map(chr, w))
+
+
+def decode_word(s: str) -> Word:
+    """The tuple word that `encode_word` encoded as s."""
+    return tuple(map(ord, s))
 
 
 def format_word(w: Word) -> str:

@@ -69,13 +69,7 @@ class Polynomial:
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = list(self.coeffs)
-        extra = len(other.coeffs) - len(out)
-        if extra > 0:
-            out.extend([Fraction(0)] * extra)
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return Polynomial(out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -150,7 +144,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant equals its value, so it hashes as its value.
+        return hash(self.constant_value()) if self.is_constant() else hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -238,9 +233,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return RationalFunction(self.num - o.num, self.den)
-        return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -299,9 +292,8 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self):
-        if self.den == _P_ONE and self.num.is_constant():
-            return hash(self.num.constant_value())
-        return hash((self.num.coeffs, self.den.coeffs))
+        # With denominator 1 it equals its numerator, so it hashes as its numerator.
+        return hash(self.num) if self.den == _P_ONE else hash((self.num.coeffs, self.den.coeffs))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"

@@ -99,6 +99,21 @@ class TestClassify:
         assert captured.err == "error: max_degree must be nonnegative\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", FULLY_DASHED_K7, "--max-degree", "201"],
+        ["classify", FULLY_DASHED_K7, "--method", "theorem", "--max-degree", "201"],
+        ["hilbert", FULLY_DASHED_K7, "201"],
+    ])
+    def test_max_degree_over_the_cap_rejected_before_engine(self, capsys, monkeypatch, argv):
+        def no_completion(*args, **kwargs):
+            raise AssertionError("completion ran before the cap was checked")
+
+        monkeypatch.setattr(report, "buchberger", no_completion)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: max degree 201 exceeds the cap 200\n"
+        assert captured.out == ""
+
     def test_classification_inconsistency_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr(classifier, "MINIMAL_EXPONENTIAL_GRAPHS", ())
         assert run_cli("classify", "K(5; 1-2,2-3,4-5)", "--method", "theorem") == 2

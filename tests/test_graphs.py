@@ -68,6 +68,10 @@ class TestParse:
             errors.append(str(exc.value))
         assert errors == [message, message]
 
+    def test_negative_leaf_count_rejected(self):
+        with pytest.raises(ValueError, match="leaf count must be nonnegative, got -1"):
+            TwoColoredStar(-1, ())
+
     def test_roundtrip_text(self):
         g = parse_graph("K(5; 4-5, 1-2, 2-3)")
         assert str(g) == "K(5; 1-2, 2-3, 4-5)"

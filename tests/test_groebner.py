@@ -63,6 +63,15 @@ class TestReduce:
         with pytest.raises(ValueError, match="not a binomial"):
             Rewriter(basis)
 
+    def test_zero_basis_element_is_skipped(self):
+        basis = [NcPolynomial(), nc({(2, 1): ONE, (1, 2): -ONE})]
+        assert reduce(nc({(2, 1): T}), basis) == nc({(1, 2): T})
+
+    def test_first_element_of_a_lead_wins(self):
+        first, second = nc({(2, 1): ONE, (1, 2): -ONE}), nc({(2, 1): ONE, (0,): -ONE})
+        assert reduce(nc({(2, 1): ONE}), [first, second]) == nc({(1, 2): ONE})
+        assert reduce(nc({(2, 1): ONE}), [second, first]) == nc({(0,): ONE})
+
     def test_nonzero_constant_reduces_everything_to_zero(self):
         # A basis holding a nonzero constant generates the unit ideal: the
         # empty word, which every word contains, reduces to zero.

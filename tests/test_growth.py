@@ -1,9 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import count_all_normal_words, delete_dashed_edge, minimal_antichain, normal_word_counts
+from oracles import count_all_normal_words, delete_dashed_edge, has_factor, minimal_antichain, normal_word_counts
 from tlstar import cli
 from tlstar.automaton import build_automaton, hilbert_prefix
 from tlstar.graphs import (
@@ -19,6 +19,7 @@ from tlstar.growth import (
     search_free_pair,
     verify_free_pair,
 )
+from tlstar.ncpoly import word_key
 from tlstar.report import run_engine
 
 COARSE_ORDER = {"finite": 0, "polynomial": 1, "exponential": 2}
@@ -155,6 +156,30 @@ class TestVerifyFreePair:
         obs = frozenset({(0, 0, 0, 0, 0, 0, 0, 0)})  # length 8
         assert free_pair_window_bound((1, 2, 3), (1, 2), obs) == 5  # ceil(8/2) + 1
         assert free_pair_window_bound((1, 2, 3), (1, 2, 4), frozenset()) == 1
+
+
+def _first_violation_by_brute_force(q1, q2, obs):
+    """Block sequences in product order, obstructions in deg-lex order, leftmost position."""
+    for choice in itertools.product((0, 1), repeat=free_pair_window_bound(q1, q2, obs)):
+        word = tuple(x for b in choice for x in (q1, q2)[b])
+        for o in sorted(obs, key=word_key):
+            if has_factor(word, o):
+                end = next(k for k in range(len(o), len(word) + 1) if has_factor(word[:k], o))
+                return choice, word, end - len(o), o
+    return None
+
+
+letters = st.integers(min_value=0, max_value=2)
+blocks = st.lists(letters, min_size=1, max_size=4).map(tuple)
+antichains = st.lists(st.lists(letters, max_size=4).map(tuple), max_size=6).map(minimal_antichain)
+
+
+class TestFirstViolation:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks, blocks, antichains)
+    def test_matches_brute_force(self, q1, q2, obs):
+        assume(q1 != q2)
+        assert find_free_pair_violation(q1, q2, obs) == _first_violation_by_brute_force(q1, q2, obs)
 
 
 class TestSearchFreePair:

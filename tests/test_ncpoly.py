@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from oracles import compare_words
 from tlstar.ncpoly import (
     NcPolynomial,
-    find_factor,
+    decode_word,
+    encode_word,
     format_word,
     parse_word,
     word_key,
@@ -44,19 +45,14 @@ class TestWordOrder:
         assert compare_words(ordered[0], ordered[2]) <= 0
 
 
-class TestFactorSearch:
-    def test_leftmost(self):
-        assert find_factor((1, 2, 1, 2), (1, 2)) == 0
-        assert find_factor((0, 1, 2), (1, 2)) == 1
-        assert find_factor((0, 1), (1, 2)) == -1
+any_letter_words = st.lists(st.integers(min_value=0, max_value=0x10FFFF), max_size=6).map(tuple)
 
-    def test_empty_factor(self):
-        assert find_factor((1, 2), ()) == 0
 
-    @given(words, words, words)
-    def test_concatenation_contains_middle(self, left, mid, right):
-        if mid:
-            assert find_factor(left + mid + right, mid) >= 0
+class TestStrEncoding:
+    @given(any_letter_words, any_letter_words)
+    def test_round_trip_keeps_the_order(self, a, b):
+        assert decode_word(encode_word(a)) == a
+        assert compare_words(encode_word(a), encode_word(b)) == compare_words(a, b)
 
 
 class TestFormatting:

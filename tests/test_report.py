@@ -5,9 +5,10 @@ import pytest
 from oracles import least_relabelling
 from tlstar import automaton, groebner, presentation, report
 from tlstar.automaton import build_automaton
+from tlstar.classifier import classify_by_theorem
 from tlstar.graphs import MAX_LEAVES, parse_graph
 from tlstar.groebner import buchberger
-from tlstar.growth import classify_growth
+from tlstar.growth import GrowthClass, classify_growth
 from tlstar.presentation import build_presentation
 from tlstar.report import analyze, cross_validate, run_engine
 
@@ -111,6 +112,14 @@ class TestAnalyze:
         assert again["discrepancy"] is False
         assert "timings" not in again
         assert "timings" in r.to_json_dict(include_timings=True)
+
+    def test_linear_verdict_against_another_gk_degree(self):
+        verdict = classify_by_theorem(parse_graph("K(4; 1-2,3-4)"))
+        assert verdict.branch == "(ii)"
+        assert report._disagreements(verdict, GrowthClass("polynomial", gk_degree=2)) == [
+            "structural verdict asserts linear growth but engine found gk degree 2"
+        ]
+        assert report._disagreements(verdict, GrowthClass("polynomial", gk_degree=1)) == []
 
     def test_finite_dimensions_both_conventions(self):
         r = analyze(parse_graph("K(2;)"))

@@ -39,6 +39,12 @@ class TestPolynomial:
     def test_evaluate(self):
         assert poly(1, -2, 1).evaluate(Fraction(1, 2)) == Fraction(1, 4)
 
+    @pytest.mark.parametrize("value", [0, 3, Fraction(-1, 2)])
+    def test_constant_hashes_as_its_value(self, value):
+        p = poly(value)
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+
     def test_str(self):
         assert str(poly(0, 1)) == "t"
         assert str(poly(Fraction(-1, 2), 0, 1)) == "t^2 - 1/2"
@@ -65,6 +71,17 @@ class TestRationalFunction:
         assert RationalFunction(3) == 3
         assert RationalFunction(Fraction(1, 2)) == Fraction(1, 2)
         assert T != 1
+
+    @pytest.mark.parametrize("r, other", [
+        (T, Polynomial.variable()),
+        (RationalFunction(3), 3),
+        (RationalFunction(3), poly(3)),
+        (RationalFunction(0), 0),
+        (RationalFunction(Fraction(1, 2)), Fraction(1, 2)),
+    ])
+    def test_equal_values_hash_equal(self, r, other):
+        assert r == other and hash(r) == hash(other)
+        assert len({r, other}) == 1
 
     def test_parameter_arithmetic(self):
         assert T * T == RationalFunction(poly(0, 0, 1))
