@@ -14,7 +14,6 @@ read of `AvoidanceAutomaton.structure`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -27,14 +26,26 @@ DEAD = -1
 Edges = list[list[tuple[int, int]]]  # edges[state] -> [(letter, target)], dead targets left out
 
 
-@dataclass(frozen=True)
 class AvoidanceAutomaton:
     """DFA over generators 0..alphabet_size-1; state 0 is the empty prefix."""
 
-    alphabet_size: int
-    states: tuple[Word, ...]
-    transitions: tuple[tuple[int, ...], ...]  # transitions[state][letter] -> state or DEAD
-    obstructions: frozenset[Word]
+    def __init__(
+        self,
+        alphabet_size: int,
+        states: tuple[Word, ...],
+        transitions: tuple[tuple[int, ...], ...],  # transitions[state][letter] -> state or DEAD
+        obstructions: frozenset[Word],
+    ):
+        self.alphabet_size = alphabet_size
+        self.states = states
+        self.transitions = transitions
+        self.obstructions = obstructions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet_size, self.states, self.transitions, self.obstructions) == (
+            other.alphabet_size, other.states, other.transitions, other.obstructions)
 
     @property
     def start(self) -> int:

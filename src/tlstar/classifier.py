@@ -23,8 +23,7 @@ the lemma agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import (
     Embedding,
@@ -52,8 +51,7 @@ MINIMAL_EXPONENTIAL_GRAPHS: tuple[TwoColoredStar, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """Outcome of the graph-theoretic classification."""
 
     coarse: str  # finite | polynomial-linear | exponential

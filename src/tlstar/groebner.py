@@ -72,9 +72,8 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .ncpoly import NcPolynomial, Word, decode_word, encode_word, word_key
 from .presentation import Presentation, Rule, render_rules
@@ -83,8 +82,7 @@ from .scalars import RationalFunction
 __all__ = ["CompletionStats", "GroebnerResult", "Rewriter", "reduce", "buchberger"]
 
 
-@dataclass(frozen=True)
-class CompletionStats:
+class CompletionStats(NamedTuple):
     """What one completion did, counted by `_TaggedCompletion` alone.
 
     Every enqueued pair is popped, and every popped pair is dropped for a
@@ -108,15 +106,28 @@ class CompletionStats:
     cards_completed: int = 0  # card systems completed for this result, at every depth
 
 
-@dataclass(frozen=True)
 class GroebnerResult:
     """Finished (or degree-truncated) rules together with their leading words."""
 
-    rules: tuple[Rule, ...]  # live rules in degree-lex order of their leads
-    obstructions: frozenset[Word]
-    complete: bool
-    degree_bound: int
-    stats: CompletionStats  # not part of to_json_dict
+    def __init__(
+        self,
+        rules: tuple[Rule, ...],  # live rules in degree-lex order of their leads
+        obstructions: frozenset[Word],
+        complete: bool,
+        degree_bound: int,
+        stats: CompletionStats,  # not part of to_json_dict
+    ):
+        self.rules = rules
+        self.obstructions = obstructions
+        self.complete = complete
+        self.degree_bound = degree_bound
+        self.stats = stats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rules, self.obstructions, self.complete, self.degree_bound, self.stats) == (
+            other.rules, other.obstructions, other.complete, other.degree_bound, other.stats)
 
     @cached_property
     def basis(self) -> tuple[NcPolynomial, ...]:
@@ -330,7 +341,7 @@ class _TaggedCompletion:
         # the overlap partners of a new lead.
         self.by_prefix: dict[str, set] = defaultdict(set)
         self.by_suffix: dict[str, set] = defaultdict(set)
-        self.count = dict.fromkeys((f.name for f in fields(CompletionStats)), 0)
+        self.count = dict.fromkeys(CompletionStats._fields, 0)
         for lead, rhs, mask in seeds:
             self._insert(lead, rhs, mask)
 
@@ -676,7 +687,7 @@ def buchberger(pres: Presentation, degree_bound: Optional[int] = None) -> Groebn
     memo: dict = {}
     rules, complete, stats = _complete(_map_words(pres.rules, encode_word), degree_bound, memo)
     rules = _map_words(rules, decode_word)
-    stats = replace(stats, cards_completed=len(memo))
+    stats = stats._replace(cards_completed=len(memo))
     return GroebnerResult(
         rules=rules,
         obstructions=frozenset(lead for lead, _ in rules),

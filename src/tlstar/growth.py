@@ -21,8 +21,7 @@ that `ncpoly.encode_word` owns, so letters must lie below 0x110000.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automaton import AvoidanceAutomaton, Edges
 from .ncpoly import Word, decode_word, encode_word, format_word, word_key
@@ -42,8 +41,7 @@ POLYNOMIAL = "polynomial"
 EXPONENTIAL = "exponential"
 
 
-@dataclass(frozen=True)
-class GrowthClass:
+class GrowthClass(NamedTuple):
     """Finite(dimension) | Polynomial(gk_degree) | Exponential, with a caveat flag."""
 
     coarse: str
@@ -61,8 +59,7 @@ class GrowthClass:
         }
 
 
-@dataclass(frozen=True)
-class FreePairCertificate:
+class FreePairCertificate(NamedTuple):
     """Two block words all of whose concatenations are normal words."""
 
     q1: Word

@@ -36,8 +36,15 @@ def word_key(w: Word):
 
 
 def encode_word(w: Word) -> str:
-    """The word as a `str`, one code point per letter."""
-    return "".join(map(chr, w))
+    """The word as a `str`, one code point per letter.
+
+    Raises ValueError naming the first letter outside 0..0x10FFFF.
+    """
+    try:
+        return "".join(map(chr, w))
+    except (ValueError, OverflowError):
+        bad = next(a for a in w if not 0 <= a <= 0x10FFFF)
+        raise ValueError(f"letter {bad} of word {tuple(w)} lies outside 0..0x10FFFF") from None
 
 
 def decode_word(s: str) -> Word:

@@ -15,7 +15,6 @@ polynomials over Q(t), or over Q at a rational t, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -45,12 +44,12 @@ def render_rules(rules: Iterable[Rule], t) -> tuple[NcPolynomial, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Relations of the algebra as rules, the same for every value of t."""
 
-    n: int
-    rules: tuple[Rule, ...]
+    def __init__(self, n: int, rules: tuple[Rule, ...]):
+        self.n = n
+        self.rules = rules
 
     @cached_property
     def relations(self) -> tuple[NcPolynomial, ...]:

@@ -18,7 +18,6 @@ the sweep computes no canonical form.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Optional
@@ -44,12 +43,12 @@ __all__ = ["AnalysisReport", "EngineRun", "SweepResult", "analyze", "cross_valid
 DEFAULT_HILBERT_DEGREE = 12
 
 
-@dataclass(frozen=True)
 class EngineRun:
     """Presentation and completion of one graph; automaton and growth are built on first read."""
 
-    presentation: Presentation
-    groebner: GroebnerResult
+    def __init__(self, presentation: Presentation, groebner: GroebnerResult):
+        self.presentation = presentation
+        self.groebner = groebner
 
     @cached_property
     def automaton(self) -> AvoidanceAutomaton:
@@ -80,21 +79,31 @@ def _disagreements(verdict: TheoremVerdict, growth: GrowthClass) -> list[str]:
     return []
 
 
-@dataclass
 class AnalysisReport:
-    graph: TwoColoredStar
-    pruned: TwoColoredStar
-    removed_leaves: tuple[int, ...]
-    method: str
-    theorem: TheoremVerdict
-    nu_violations: list[str]
-    groebner: Optional[GroebnerResult] = None
-    automaton: Optional[AvoidanceAutomaton] = None
-    hilbert: Optional[list[int]] = None
-    growth: Optional[GrowthClass] = None
-    free_pair: Optional[FreePairCertificate] = None
-    discrepancies: list[str] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    """The structural verdict of one graph, and the engine's results when it ran."""
+
+    def __init__(
+        self,
+        graph: TwoColoredStar,
+        pruned: TwoColoredStar,
+        removed_leaves: tuple[int, ...],
+        method: str,
+        theorem: TheoremVerdict,
+        nu_violations: list[str],
+    ):
+        self.graph = graph
+        self.pruned = pruned
+        self.removed_leaves = removed_leaves
+        self.method = method
+        self.theorem = theorem
+        self.nu_violations = nu_violations
+        self.groebner: Optional[GroebnerResult] = None
+        self.automaton: Optional[AvoidanceAutomaton] = None
+        self.hilbert: Optional[list[int]] = None
+        self.growth: Optional[GrowthClass] = None
+        self.free_pair: Optional[FreePairCertificate] = None
+        self.discrepancies: list[str] = []
+        self.timings: dict = {}
 
     @property
     def discrepancy(self) -> bool:
@@ -173,13 +182,22 @@ def analyze(
     return report
 
 
-@dataclass
 class SweepRow:
-    graph: TwoColoredStar
-    pruned: TwoColoredStar
-    theorem: TheoremVerdict
-    engine_growth: GrowthClass
-    nu_violations: list[str]
+    """One class of the sweep: its structural verdict and its pruned class's engine growth."""
+
+    def __init__(
+        self,
+        graph: TwoColoredStar,
+        pruned: TwoColoredStar,
+        theorem: TheoremVerdict,
+        engine_growth: GrowthClass,
+        nu_violations: list[str],
+    ):
+        self.graph = graph
+        self.pruned = pruned
+        self.theorem = theorem
+        self.engine_growth = engine_growth
+        self.nu_violations = nu_violations
 
     @property
     def complete(self) -> bool:
@@ -209,11 +227,13 @@ class SweepRow:
         }
 
 
-@dataclass
 class SweepResult:
-    max_leaves: int
-    rows: list[SweepRow]
-    engine_runs: int
+    """Every row of a sweep up to max_leaves, and how many engine runs served them."""
+
+    def __init__(self, max_leaves: int, rows: list[SweepRow], engine_runs: int):
+        self.max_leaves = max_leaves
+        self.rows = rows
+        self.engine_runs = engine_runs
 
     @property
     def all_agree(self) -> bool:

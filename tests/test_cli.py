@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -243,7 +242,10 @@ class TestCrossvalidate:
 
         def wrong_on_edge(g):
             verdict = classify_by_theorem(g)
-            return dataclasses.replace(verdict, coarse="polynomial-linear") if g == edge else verdict
+            if g != edge:
+                return verdict
+            return classifier.TheoremVerdict("polynomial-linear", verdict.branch, verdict.nu,
+                                             verdict.witness_pattern, verdict.witness)
 
         monkeypatch.setattr(report, "classify_by_theorem", wrong_on_edge)
         path = tmp_path / "cv.json"

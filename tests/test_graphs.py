@@ -178,6 +178,13 @@ def test_graph_facts_match_the_pairs(g):
         assert len(g.neighbours[v]) == sum(v in pair for pair in g.dashed)
 
 
+def test_equal_and_hashed_by_leaf_count_and_pairs():
+    # Sets and dicts of graphs iterate in the order these hashes give.
+    g = TwoColoredStar(3, [(2, 1)])
+    assert g == TwoColoredStar(3, [(1, 2)]) and g != TwoColoredStar(4, [(1, 2)])
+    assert g != (3, frozenset({(1, 2)})) and hash(g) == hash((3, frozenset({(1, 2)})))
+
+
 @given(stars_with_permutation())
 def test_certificate_invariant_under_relabelling(gp):
     g, perm = gp

@@ -152,6 +152,10 @@ class TestVerifyFreePair:
         with pytest.raises(ValueError):
             verify_free_pair((), (0, 1), frozenset())
 
+    def test_rejects_letter_outside_code_points(self):
+        with pytest.raises(ValueError, match=r"^letter -1 of word \(-1,\) lies outside 0\.\.0x10FFFF$"):
+            find_free_pair_violation((0,), (-1,), frozenset({(0, 0)}))
+
     def test_window_bound(self):
         obs = frozenset({(0, 0, 0, 0, 0, 0, 0, 0)})  # length 8
         assert free_pair_window_bound((1, 2, 3), (1, 2), obs) == 5  # ceil(8/2) + 1

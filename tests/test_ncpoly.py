@@ -54,6 +54,11 @@ class TestStrEncoding:
         assert decode_word(encode_word(a)) == a
         assert compare_words(encode_word(a), encode_word(b)) == compare_words(a, b)
 
+    @pytest.mark.parametrize("letter", [-1, 0x110000, 2**64])
+    def test_letter_outside_code_points_named(self, letter):
+        with pytest.raises(ValueError, match=rf"^letter {letter} of word \(0, {letter}\) lies outside"):
+            encode_word((0, letter))
+
 
 class TestFormatting:
     def test_format_word(self):
@@ -108,3 +113,12 @@ class TestNcPolynomial:
         p = NcPolynomial({(1,): T})
         assert p.scale(0) == NcPolynomial()
         assert -p == p.scale(-1)
+
+    def test_sub_and_len(self):
+        p = NcPolynomial({(1,): Fraction(2), (0, 1): T})
+        q = NcPolynomial({(1,): Fraction(2)})
+        assert p - q == NcPolynomial({(0, 1): T}) and p - p == NcPolynomial()
+        assert (len(p), len(p - q), len(NcPolynomial())) == (2, 1, 0)
+
+    def test_monic_of_zero_is_zero(self):
+        assert NcPolynomial().monic() == NcPolynomial()

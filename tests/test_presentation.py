@@ -1,4 +1,3 @@
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from oracles import relabel
 from test_graphs import stars_with_permutation
 from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
 from tlstar.ncpoly import NcPolynomial
-from tlstar.presentation import Presentation, build_presentation, max_relation_degree, render_rules
+from tlstar.presentation import build_presentation, max_relation_degree, render_rules
 from tlstar.scalars import RationalFunction
 
 
@@ -89,7 +88,7 @@ class TestParameterModes:
         # The presentation holds no value of t; rendering at a rational t
         # is the Q(t) rendering with t evaluated there, term by term.
         pres = build_presentation(parse_graph(text))
-        assert [f.name for f in fields(Presentation)] == ["n", "rules"]
+        assert list(vars(pres)) == ["n", "rules"]
         for value in (Fraction(1, 2), Fraction(1, 3)):
             special = render_rules(pres.rules, value)
             assert [p.terms for p in special] == [

@@ -26,6 +26,11 @@ class TestRunEngine:
         r = analyze(g, method="both")
         assert (r.groebner, r.automaton, r.growth) == (result, aut, growth)
 
+    def test_results_equal_by_value_alone(self):
+        edge, empty = run_engine(parse_graph("K(2; 1-2)")), run_engine(parse_graph("K(2;)"))
+        assert edge.groebner != empty.groebner and edge.automaton != empty.automaton
+        assert edge.groebner != edge.groebner.rules and edge.automaton != edge.automaton.transitions
+
     def test_automaton_built_only_when_read(self):
         run = run_engine(parse_graph("K(4; 1-2,3-4)"))
         assert run.groebner.complete
