@@ -45,7 +45,7 @@ from .scalars import RationalFunction
 __all__ = ["main"]
 
 OK, USAGE_ERROR, DISCREPANCY = 0, 1, 2
-DEFAULT_HILBERT_CAP = 200
+HILBERT_CAP = 200
 SYMBOLIC = "symbolic"
 
 
@@ -98,17 +98,21 @@ def parameter(mode: str) -> tuple[object, str]:
     return value, f"t={value}"
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree-bound", type=int, default=None, metavar="N",
-                   help="completion degree bound (default 2n + 8)")
+def _add_t_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", default=SYMBOLIC, metavar="MODE",
                    help="'symbolic' (default) or a rational in (0,1) such as 1/2; only labels and renders")
 
 
-def _check_hilbert_degree(max_degree: int, cap: int = DEFAULT_HILBERT_CAP) -> None:
+def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--degree-bound", type=int, default=None, metavar="N",
+                   help="completion degree bound (default 2n + 8)")
+    _add_t_flag(p)
+
+
+def _check_hilbert_degree(max_degree: int) -> None:
     """Refuse a normal-word count prefix longer than the cap, or negative, before any completion."""
-    if max_degree > cap:
-        raise ValueError(f"max degree {max_degree} exceeds the cap {cap}")
+    if max_degree > HILBERT_CAP:
+        raise ValueError(f"max degree {max_degree} exceeds the cap {HILBERT_CAP}")
     check_max_degree(max_degree)
 
 
@@ -151,7 +155,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 def _cmd_hilbert(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
-    _check_hilbert_degree(args.max_degree, args.cap)
+    _check_hilbert_degree(args.max_degree)
     run = run_engine(g, args.degree_bound)
     complete = run.groebner.complete
     prefix = hilbert_prefix(run.automaton, args.max_degree)
@@ -189,7 +193,7 @@ def _cmd_gb(args) -> tuple[int, dict]:
 def _cmd_crossvalidate(args) -> tuple[int, dict]:
     if args.max_leaves > 6 and not args.allow_large:
         raise ValueError(f"max leaves {args.max_leaves} needs --allow-large (sweeps beyond 6 are expensive)")
-    sweep = cross_validate(args.max_leaves, degree_bound=args.degree_bound)
+    sweep = cross_validate(args.max_leaves)
     print(f"classes up to {args.max_leaves} leaves: {len(sweep.rows)} "
           f"({sweep.engine_runs} distinct pruned classes run through the engine)")
     matrix = sweep.agreement_matrix()
@@ -280,16 +284,14 @@ def _build_parser() -> _Parser:
     p.add_argument("graph", help="graph text, e.g. \"K(5; 1-2,2-3,4-5)\"")
     p.add_argument("--method", choices=("both", "theorem"), default="both")
     p.add_argument("--max-degree", type=int, default=DEFAULT_HILBERT_DEGREE, metavar="N",
-                   help=f"length of the reported normal-word count prefix (at most {DEFAULT_HILBERT_CAP})")
+                   help=f"length of the reported normal-word count prefix (at most {HILBERT_CAP})")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings in JSON")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("hilbert", parents=[json_flag], help="normal-word counts per degree")
     p.add_argument("graph")
-    p.add_argument("max_degree", type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_HILBERT_CAP,
-                   help=f"safety cap on max_degree (default {DEFAULT_HILBERT_CAP})")
+    p.add_argument("max_degree", type=int, help=f"highest degree counted (at most {HILBERT_CAP})")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_hilbert)
 
@@ -303,7 +305,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-leaves", type=int, default=6)
     p.add_argument("--allow-large", action="store_true",
                    help=f"permit sweeps beyond 6 leaves (up to {MAX_LEAVES})")
-    _add_engine_flags(p)
+    _add_t_flag(p)
     p.set_defaults(func=_cmd_crossvalidate)
 
     p = sub.add_parser("witness", parents=[json_flag], help="search for or verify a free pair of words")

@@ -65,7 +65,8 @@ and every downstream consumer must treat derived counts as upper bounds.
 Each shortcut below carries the measurement that keeps it: CPU time or
 traced allocations on CPython 3.11 and a 2-core x86-64 box.  "K7" and
 "K8" are the completions of the fully dashed 7- and 8-leaf stars, which
-take 0.10-0.16 s and 0.29-0.50 s with every shortcut (6 rounds).
+take 0.066-0.068 s and 0.23-0.26 s of CPU with every shortcut (6 rounds,
+CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -653,7 +654,12 @@ def _complete(rules: tuple[tuple, ...], bound: int, memo: dict) -> tuple[tuple[t
     A truncated seeded run gives way to the unseeded run, so truncated
     results do not depend on the seeding.
     """
-    seeds = _seeds(rules, bound, memo)  # unseeded: K7 0.35-0.64 s, K8 1.68-2.64 s
+    # Unseeded: K7 0.28-0.30 s, K8 1.24-1.45 s.  Seeding pays on the n<=6
+    # sweep too: `cross_validate(6)` took a median 0.99 s of CPU seeded and
+    # 1.14 s unseeded, seeded faster in each of 8 alternating fresh-process
+    # rounds, with identical JSON.  Seeding from every card, not only from
+    # repeated ones, took 2.12 s there.
+    seeds = _seeds(rules, bound, memo)
     if seeds:
         done, complete, stats = _TaggedCompletion(rules, bound, seeds).run()
         if complete:

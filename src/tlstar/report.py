@@ -265,7 +265,7 @@ class SweepResult:
         }
 
 
-def cross_validate(max_leaves: int, degree_bound: Optional[int] = None) -> SweepResult:
+def cross_validate(max_leaves: int) -> SweepResult:
     """Compare structural and engine growth on every class with n <= max_leaves.
 
     Engine results are computed once per isomorphism class of the pruned
@@ -275,8 +275,9 @@ def cross_validate(max_leaves: int, degree_bound: Optional[int] = None) -> Sweep
     pruning it gives the least relabelling of the pruned class: the pruned
     graph itself keys the cache.  Only the growth class is kept per class
     (its `upper_bound_only` flag tells whether completion finished), so
-    memory stays flat over the sweep.  Raises ValueError unless
-    1 <= max_leaves <= MAX_LEAVES, before any stage runs.
+    memory stays flat over the sweep.  Every completion runs at the default
+    degree bound 2n + 8.  Raises ValueError unless 1 <= max_leaves <=
+    MAX_LEAVES, before any stage runs.
     """
     if max_leaves < 1:
         raise ValueError(f"max leaves must be at least 1, got {max_leaves}")
@@ -289,7 +290,7 @@ def cross_validate(max_leaves: int, degree_bound: Optional[int] = None) -> Sweep
             pruned, _ = prune_isolated_leaves(g)
             growth = engine_cache.get(pruned)
             if growth is None:
-                growth = engine_cache[pruned] = run_engine(pruned, degree_bound).growth
+                growth = engine_cache[pruned] = run_engine(pruned).growth
             verdict = classify_by_theorem(g)
             rows.append(
                 SweepRow(

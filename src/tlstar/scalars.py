@@ -47,16 +47,12 @@ class Polynomial:
         return bool(self.coeffs)
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
         return self.coeffs[-1]
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def constant_value(self) -> Fraction:
-        if len(self.coeffs) > 1:
-            raise ValueError("polynomial is not constant")
+    def constant_term(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -76,8 +72,6 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _P_ZERO
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -87,8 +81,6 @@ class Polynomial:
         return Polynomial(out)
 
     def scale(self, q: Fraction) -> "Polynomial":
-        if not q:
-            return _P_ZERO
         return Polynomial(tuple(c * q for c in self.coeffs))
 
     def __divmod__(self, other: "Polynomial"):
@@ -117,8 +109,6 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def monic(self) -> "Polynomial":
-        if not self.coeffs:
-            return self
         lc = self.coeffs[-1]
         if lc == 1:
             return self
@@ -140,12 +130,12 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
+            return self.is_constant() and self.constant_term() == other
         return NotImplemented
 
     def __hash__(self):
         # A constant equals its value, so it hashes as its value.
-        return hash(self.constant_value()) if self.is_constant() else hash(self.coeffs)
+        return hash(self.constant_term()) if self.is_constant() else hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -179,13 +169,9 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den: Polynomial = _P_ONE):
         if not isinstance(num, Polynomial):
             num = Polynomial.constant(num) if num else _P_ZERO
-        if den is None:
-            den = _P_ONE
-        elif not isinstance(den, Polynomial):
-            den = Polynomial.constant(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
@@ -214,8 +200,6 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(other)
-        if isinstance(other, Polynomial):
             return RationalFunction(other)
         return None
 
@@ -253,9 +237,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return RationalFunction(self.num * o.den, self.den * o.num)  # __init__ refuses a zero o
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,10 @@ from tlstar.scalars import RationalFunction
 
 FULLY_DASHED_K7 = "K(7; " + ",".join(f"{i}-{j}" for i in range(1, 8) for j in range(i + 1, 8)) + ")"
 UNVERIFIED = "unverified: completion truncated, so the obstruction set is partial and certifies nothing"
+
+
+def _no_completion(*args):
+    raise AssertionError("completion started")
 
 
 def run_cli(*argv):
@@ -157,9 +162,12 @@ class TestHilbert:
         assert counts == [1, 3, 4, 2, 0, 0, 0]
         assert out.strip().endswith("10")
 
-    def test_cap_enforced(self):
-        assert run_cli("hilbert", "K(2;)", "500") == 1
-        assert run_cli("hilbert", "K(2;)", "201", "--cap", "300") == 0
+    def test_cap_enforced(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "buchberger", _no_completion)
+        assert run_cli("hilbert", "K(2;)", "201") == 1
+        assert capsys.readouterr().err == "error: max degree 201 exceeds the cap 200\n"
+        assert run_cli("hilbert", "K(2;)", "201", "--cap", "300") == 1  # the cap is fixed
+        assert "unrecognized arguments: --cap 300" in capsys.readouterr().err
 
     def test_json_payload(self, tmp_path):
         path = tmp_path / "h.json"
@@ -219,6 +227,11 @@ class TestCrossvalidate:
     def test_large_needs_override(self):
         assert run_cli("crossvalidate", "--max-leaves", "7") == 1
         assert run_cli("crossvalidate", "--max-leaves", "8", "--allow-large") == 1
+
+    def test_degree_bound_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "buchberger", _no_completion)
+        assert run_cli("crossvalidate", "--max-leaves", "2", "--degree-bound", "8") == 1
+        assert "unrecognized arguments: --degree-bound 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_leaves", ["0", "-1"])
     def test_empty_sweep_exit_one(self, capsys, max_leaves):
@@ -433,6 +446,18 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "finite" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["tlstar", "tlstar.cli"])
+def test_runs_as_main_module(module, capsys, monkeypatch):
+    # In-process, unlike the two subprocess tests, so a line tracer sees the `__main__` blocks.
+    monkeypatch.setattr(sys, "argv", [module, "classify", "K(2; 1-2)"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # runpy: tlstar.cli is already imported
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module(module, run_name="__main__")
+    assert exit_.value.code == 0
+    assert "finite" in capsys.readouterr().out
 
 
 def test_python_dash_m_tlstar_subprocess():

@@ -122,3 +122,9 @@ class TestNcPolynomial:
 
     def test_monic_of_zero_is_zero(self):
         assert NcPolynomial().monic() == NcPolynomial()
+
+    def test_not_equal_to_other_types(self):
+        assert (NcPolynomial() == 0) is False
+
+    def test_repr_shows_the_format(self):
+        assert repr(NcPolynomial({(1, 0, 1): Fraction(1), (1,): -T})) == "NcPolynomial('p1 p0 p1 - t*p1')"

@@ -47,6 +47,11 @@ class TestRelationContent:
             "p0 p1 p0 - t*p0",
         ]
 
+    def test_format_one_equation_per_line(self):
+        pres = build_presentation(parse_graph("K(2; 1-2)"))
+        assert pres.format().splitlines() == [f"{r.format()} = 0" for r in pres.relations]
+        assert pres.format().endswith("\np2 p1 - p1 p2 = 0")
+
     def test_commutation_orientation(self):
         pres = build_presentation(parse_graph("K(2; 1-2)"))
         assert pres.relations[-1].format() == "p2 p1 - p1 p2"

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,10 @@ class TestPolynomial:
         a = poly(0, 2, 2)    # 2t(t+1)
         b = poly(0, 0, 3, 3)  # 3t^2(t+1)
         assert Polynomial.gcd(a, b) == poly(0, 1, 1)
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            divmod(poly(1), poly())
 
     def test_evaluate(self):
         assert poly(1, -2, 1).evaluate(Fraction(1, 2)) == Fraction(1, 4)
@@ -99,6 +104,29 @@ class TestRationalFunction:
         assert r.evaluate(Fraction(3)) == 4
         with pytest.raises(ZeroDivisionError):
             r.evaluate(Fraction(2))
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            T / 0
+        with pytest.raises(ZeroDivisionError):
+            1 / RationalFunction(0)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_float_operands_refused(self, op):
+        # A float is not exact: both operand orders decline it, so Python raises TypeError.
+        with pytest.raises(TypeError):
+            op(T, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, T)
+
+    def test_not_equal_to_a_float(self):
+        assert (T == 0.5) is False
+        assert (poly(1) == 0.5) is False
+
+    @pytest.mark.parametrize("x", [poly(1, Fraction(-1, 2)), (T + 1) / (T - 2)])
+    def test_repr_round_trips(self, x):
+        names = {"Fraction": Fraction, "Polynomial": Polynomial, "RationalFunction": RationalFunction}
+        assert eval(repr(x), names) == x
 
 
 small_fraction = st.fractions(

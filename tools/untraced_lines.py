@@ -10,7 +10,9 @@ and are not listed.
 
 Code run in a subprocess is not traced: every line that runs only there
 shows as untraced.  The demos, for instance, run in a subprocess under
-pytest, and `Presentation.format` runs only there.
+pytest, so the tests that must reach a line through the command line
+(the `__main__` blocks of `tlstar` and `tlstar.cli`) run it in-process
+through `runpy` too.
 
 Usage: PYTHONPATH=src python tools/untraced_lines.py pytest [PYTEST_ARGS...]
        python tools/untraced_lines.py tlstar CLI_ARGS...
@@ -20,8 +22,9 @@ start tlstar in a subprocess find it; without it they skip.
 
 It prints one ``path:line  source`` line per untraced statement, then a
 count, and exits with the traced run's exit code.  Tracing slows the run
-about four times over: the tier-1 suite takes ~5 min.  Only the standard
-library is needed (pytest for the first form).
+about three times over: the tier-1 suite took 199 s traced against 70 s
+untraced (CPython 3.11.7, 2-core x86-64).  Only the standard library is
+needed (pytest for the first form).
 """
 
 import ast
