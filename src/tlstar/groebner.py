@@ -34,9 +34,10 @@ each group of two or more cards is completed once, by the same seeded
 procedure (fewer than three letters is the unseeded base case), memoised
 for the one `buchberger` call.  The finished card rules, mapped back to
 each card's letters, go in as rules before the presentation's own, each
-tagged with a bitmask of the cards that hold it.  On star presentations
-cards agree on every lead they share and their leads form an antichain;
-rules where two cards give one lead two right-hand sides are completed
+tagged with a bitmask of the cards that hold it.  Seeding needs the
+cards to agree: every seed must lie in every completed card whose
+letter its lead does not use, which makes the seeds an antichain.  Star
+presentations always agree; rules whose cards disagree are completed
 unseeded.  A pair of rules from one completed card is joinable inside it,
 so it is never resolved (completion modulo a confluent subsystem:
 Bachmair & Dershowitz, J. Symbolic Comput. 1988; Toyama, J. ACM 1987).
@@ -50,13 +51,14 @@ Only prime overlaps are resolved: a pair whose overlap word holds a live
 leading word strictly inside is composite and dropped (Kapur, Musser &
 Narendran, J. Symbolic Comput. 1988), where it is found if it is composite
 then, and when it is popped otherwise.  On the fully dashed 7-leaf star
-that drops 6,769 of the 7,751 popped pairs, 5,609 of them before they
-enter the heap.  Every result carries `CompletionStats`: pairs enqueued,
-over the bound, inside a completed card, popped, dropped for a dead rule,
-composite, resolved to zero and inserted, rules withdrawn, the peak live
-rule count and the card systems completed.  Completion counts into a
-dict keyed by the field names, so each counter is named once, in
-`CompletionStats`.  The counters stay out of `to_json_dict`.
+that drops 6,769 of the 7,751 popped pairs, 6,538 of them before they
+enter the heap, which 1,213 pairs enter.  Every result carries
+`CompletionStats`: pairs enqueued, over the bound, inside a completed
+card, popped, dropped for a dead rule, composite, resolved to zero and
+inserted, rules withdrawn, the peak live rule count and the card systems
+completed.  Completion counts into a dict keyed by the field names, so
+each counter is named once, in `CompletionStats`.  The counters stay out
+of `to_json_dict`.
 
 If no overlap ever exceeds the bound the finished basis is a full Groebner
 basis and the result is marked complete; otherwise it is only a truncation
@@ -65,8 +67,9 @@ and every downstream consumer must treat derived counts as upper bounds.
 Each shortcut below carries the measurement that keeps it: CPU time or
 traced allocations on CPython 3.11 and a 2-core x86-64 box.  "K7" and
 "K8" are the completions of the fully dashed 7- and 8-leaf stars, which
-take 0.066-0.068 s and 0.23-0.26 s of CPU with every shortcut (6 rounds,
-CPython 3.11.7).
+take a median 0.056 s and 0.171 s of CPU with every shortcut (14 rounds
+in one process, alternating with the variants measured, CPython 3.11.7).
+Where a comment gives one figure, it is the median of those 14 rounds.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ class _LeadTable:
         for pos in range(lw or 1):
             rem = lw - pos
             for n in lengths:
-                if n > rem:  # lengths ascend; without this break the 7-leaf completion is ~4% slower (median)
+                if n > rem:  # lengths ascend; without this break K7 is ~5% and K8 ~8% slower
                     break
                 entry = get(w[pos:pos + n])
                 if entry is not None:
@@ -310,14 +313,20 @@ class _TaggedCompletion:
     Results therefore do not depend on hash order, and truncated
     completions are reproducible.
 
-    Seeds are (lead, rhs, mask) rules from completed cards, inserted first
-    with their card bitmask; they are already inter-reduced.  The rules
-    stay pending all the same, since the seeded cards need not generate
-    the ideal.  A pair of rules whose masks share a bit is dropped when it
-    is found: it is joinable inside that complete card, and, both being
-    finished rules of a complete run under the same bound, its overlap
-    fits under the bound, so `skipped` and the truncation test are as for
-    an unseeded run.  New rules and re-reduced withdrawn rules get mask 0.
+    Seeds are (lead, rhs, mask) rules from completed cards, with their
+    card bitmask: an inter-reduced antichain in deg-lex order.  They are
+    registered first, all at once, since they withdraw nothing, and only
+    then paired: each seed with the whole deck, as the first rule of the
+    overlap, so each pair of seeds is found once, and a pair that any seed
+    makes composite never enters the heap.  On the fully dashed 7-leaf
+    star 975 of the deck's 5,964 pairs outside a card enter it.  The
+    rules stay pending all the same, since the seeded cards need not
+    generate the ideal.  A pair of rules whose masks share a bit is
+    dropped when it is found: it is joinable inside that complete card,
+    and, both being finished rules of a complete run under the same
+    bound, its overlap fits under the bound, so `skipped` and the
+    truncation test are as for an unseeded run.  New rules and
+    re-reduced withdrawn rules get mask 0.
 
     Only prime overlaps are resolved.  An overlap word with a live lead
     strictly inside it (touching neither end) is composite: that lead
@@ -333,7 +342,6 @@ class _TaggedCompletion:
     def __init__(self, rules: Iterable[tuple], degree_bound: int, seeds: Iterable[tuple] = ()):
         self.bound = degree_bound
         self.index = _LeadTable()
-        self.next_id = 0
         self.heap: list[tuple] = []
         self.pending: deque = deque(_element(lead, rhs) for lead, rhs in rules)
         self.skipped: list[tuple[_Rule, _Rule]] = []
@@ -343,16 +351,22 @@ class _TaggedCompletion:
         self.by_prefix: dict[str, set] = defaultdict(set)
         self.by_suffix: dict[str, set] = defaultdict(set)
         self.count = dict.fromkeys(CompletionStats._fields, 0)
-        for lead, rhs, mask in seeds:
-            self._insert(lead, rhs, mask)
+        # Inserting the seeds one by one, each paired with those before it,
+        # lets 1,904 of K7's pairs into the heap and makes K7 ~27% and K8
+        # ~27% slower (0.077 and 0.235 s).
+        deck = [_Rule(rid, lead, rhs, mask) for rid, (lead, rhs, mask) in enumerate(seeds)]
+        for rule in deck:
+            self._register(rule)
+        self.next_id = self.count["peak_live_rules"] = len(deck)
+        for rule in deck:
+            self._enqueue_overlaps(rule, seed=True)
 
     def _normal(self, sign: int, exp: int, w: str) -> Optional[tuple]:
         """Tagged normal form of sign * t**exp * w by leftmost rewriting.
 
         Every word met on the way is memoised with its own normal form; the
         memo is cleared whenever the live rules change or it grows too big.
-        (A memo of the input word alone makes completing the fully dashed
-        7-leaf star ~20% slower: min 0.153 -> 0.185 s over 10 rounds.)
+        (A memo of the input word alone makes K7 ~5% and K8 ~8% slower.)
         """
         memo = self.memo
         find = self.index.find
@@ -411,20 +425,18 @@ class _TaggedCompletion:
         self._insert(w1, (-s1 * s2, e2 - e1, w2))
         return True
 
-    def _composite(self, u: str, v: str, ell: int) -> bool:
-        """Whether a live lead lies strictly inside the overlap word u + v[ell:].
+    def _composite(self, w: str, lu: int, ell: int) -> bool:
+        """Whether a live lead lies strictly inside w, the overlap word of w[:lu] and w[lu - ell:].
 
-        Live leads form an antichain with u and v, so such a lead is a
-        factor of neither: it starts inside u's part before v's part begins
-        and ends inside v's part after u's part ends.  Only those slices
-        w[p:q], 1 <= p < len(u) - ell and len(u) < q < len(w), are probed;
-        the answer equals ``find(w[1:-1]) is not None``, but that probe makes
-        completing the fully dashed 7-leaf star ~40% slower.
+        Live leads form an antichain with both leads, so such a lead is a
+        factor of neither: it starts inside the first lead before the
+        second begins and ends inside the second after the first ends.
+        Only those slices w[p:q], 1 <= p < lu - ell and lu < q < len(w),
+        are probed; the answer equals ``find(w[1:-1]) is not None``, but
+        that probe makes K7 ~55% and K8 ~45% slower (6 rounds).
         """
-        w = u + v[ell:]
         leads = self.index.by_lead
         lengths = self.index.lengths
-        lu = len(u)
         lw = len(w)
         for p in range(1, lu - ell):
             for n in lengths:
@@ -437,59 +449,66 @@ class _TaggedCompletion:
                     return True
         return False
 
-    def _push(self, a: _Rule, b: _Rule, ell: int) -> None:
-        # A pair composite when found never enters the heap: it counts as
-        # enqueued, popped and composite at once.  Testing only at pop takes
-        # the same time but doubles the traced allocation peak of the fully
-        # dashed 7-leaf completion (0.96 -> 1.92 MB).
-        u, v = a.lead, b.lead
-        size = len(u) + len(v) - ell
-        if size > self.bound:
-            self.skipped.append((a, b))
-            self.count["pairs_over_bound"] += 1
-            return
-        self.count["pairs_enqueued"] += 1
-        # Without the prime test here and at pop: K7 0.34-0.62 s, K8 1.84-3.29 s.
-        if self._composite(u, v, ell):
-            self.count["pairs_popped"] += 1
-            self.count["pairs_composite"] += 1
-        else:
-            heapq.heappush(self.heap, (size, u + v[ell:], a.id, b.id, ell, a, b))
+    def _enqueue_overlaps(self, rule: _Rule, seed: bool = False) -> None:
+        """Queue the prime overlaps of the rule with the live rules and itself.
 
-    def _enqueue_overlaps(self, rule: _Rule) -> None:
-        # Overlap words where a proper suffix of one lead is a proper prefix
-        # of the other.  Pairs of zero rules are skipped: their S-polynomials
-        # vanish identically.  So are pairs of rules from one completed
-        # card; both are finished rules of that card's complete run, so
-        # their overlaps fit under the bound and `skipped` loses nothing.
+        An overlap (a, b, ell) has the last ell letters of a's lead equal
+        to the first ell of b's, 0 < ell < both lengths.  The rule comes
+        first in the overlaps found through `by_prefix` and second in those
+        found through `by_suffix`.  A seed is registered already, with the
+        whole deck, and pairs only as the first rule; a new rule is not
+        registered yet, so it pairs both ways, and with itself apart.
+        Pairs of zero rules are skipped: their S-polynomials vanish
+        identically.  So are pairs of rules from one completed card (only
+        seeds carry a mask); both are finished rules of that card's
+        complete run, so their overlaps fit under the bound and `skipped`
+        loses nothing.
+        """
         u = rule.lead
+        n = len(u)
         mask = rule.mask
         monomial = rule.rhs is None
+        found = []
         in_card = 0
-        for ell in range(1, len(u)):
-            for other in self.by_prefix.get(u[-ell:], ()):
+        for ell in range(1, n):
+            for other in self.by_prefix.get(u[n - ell:], ()):
                 if monomial and other.rhs is None:
                     continue
-                # Without the in-card skip: K7 pops 46,770 pairs in 0.42-0.77 s, K8 206,023 in 2.21-3.50 s.
+                # Without the in-card skip: K7 pops 46,770 pairs in 0.30-0.33 s, K8 206,023 in 1.27-1.48 s.
                 if mask & other.mask:
                     in_card += 1
                 else:
-                    self._push(rule, other, ell)
-            for other in self.by_suffix.get(u[:ell], ()):
-                if monomial and other.rhs is None:
-                    continue
-                if mask & other.mask:
-                    in_card += 1
-                else:
-                    self._push(other, rule, ell)
-        if not monomial:
-            for ell in range(1, len(u)):
-                if u[-ell:] == u[:ell]:
-                    if mask:
-                        in_card += 1
-                    else:
-                        self._push(rule, rule, ell)
-        self.count["pairs_in_card"] += in_card
+                    found.append((rule, other, ell))
+            if not seed:
+                for other in self.by_suffix.get(u[:ell], ()):
+                    if not (monomial and other.rhs is None):
+                        found.append((other, rule, ell))
+                if not monomial and u[n - ell:] == u[:ell]:
+                    found.append((rule, rule, ell))
+        # A pair composite when found never enters the heap: it counts as
+        # enqueued, popped and composite at once.  Testing only at pop makes
+        # K7 ~16% and K8 ~32% slower and nearly doubles the traced
+        # allocation peak of K7 (1.15 -> 2.18 MB).
+        over = composite = 0
+        for a, b, ell in found:
+            lu = len(a.lead)
+            size = lu + len(b.lead) - ell
+            if size > self.bound:
+                self.skipped.append((a, b))
+                over += 1
+                continue
+            w = a.lead + b.lead[ell:]
+            # Without the prime test here and at pop: K7 0.26-0.58 s, K8 1.52-2.99 s (6 rounds).
+            if self._composite(w, lu, ell):
+                composite += 1
+            else:
+                heapq.heappush(self.heap, (size, w, a.id, b.id, ell, a, b))
+        count = self.count
+        count["pairs_in_card"] += in_card
+        count["pairs_over_bound"] += over
+        count["pairs_enqueued"] += len(found) - over
+        count["pairs_popped"] += composite
+        count["pairs_composite"] += composite
 
     def _buckets(self, u: str):
         """(map, key) for every proper prefix and suffix of u."""
@@ -513,7 +532,7 @@ class _TaggedCompletion:
             if not bucket:
                 del table[key]
 
-    def _insert(self, lead: str, rhs: Optional[tuple], mask: int = 0) -> None:
+    def _insert(self, lead: str, rhs: Optional[tuple]) -> None:
         # Inclusion ambiguities: any older rule whose leading word contains
         # the new one is withdrawn and re-reduced later.  The new lead is
         # irreducible, so such a lead is strictly longer and has it as a
@@ -523,6 +542,7 @@ class _TaggedCompletion:
         # only as a new rule with a larger id.  No star presentation tried
         # withdraws a rule (the fully dashed 6- to 8-leaf stars, the n <= 6
         # sweep, the CLI battery); hand-built rules such as the unit ideal do.
+        # Seeds never come through here.
         doomed = [r for r in self.index.by_lead.values() if lead in r.lead]
         for r in doomed:
             r.alive = False
@@ -530,7 +550,7 @@ class _TaggedCompletion:
             self.pending.append(_element(r.lead, r.rhs))
         self.count["rules_withdrawn"] += len(doomed)
 
-        rule = _Rule(self.next_id, lead, rhs, mask)
+        rule = _Rule(self.next_id, lead, rhs)
         self.next_id += 1
         self._enqueue_overlaps(rule)
         self._register(rule)
@@ -555,11 +575,11 @@ class _TaggedCompletion:
             if self.pending:
                 self._resolve(self.pending.popleft())
                 continue
-            _, _, _, _, ell, a, b = heapq.heappop(self.heap)
+            _, w, _, _, ell, a, b = heapq.heappop(self.heap)
             count["pairs_popped"] += 1
             if not (a.alive and b.alive):
                 count["pairs_dead"] += 1
-            elif self._composite(a.lead, b.lead, ell):  # without it: K7 0.12-0.23 s, K8 0.50-0.94 s
+            elif self._composite(w, len(a.lead), ell):  # without it K7 is ~12% and K8 ~14% slower
                 count["pairs_composite"] += 1
             elif self._resolve(self._spair(a, b, ell)):
                 count["pairs_inserted"] += 1
@@ -623,13 +643,21 @@ def _seeds(rules: tuple[tuple, ...], bound: int, memo: dict) -> list[tuple]:
     more is completed once, by `_complete`, and memoised in ``memo`` as
     (rules, complete).  Its rules, mapped back to each card's letters, are
     tagged with one bit per card that holds them.  No seeds when no card
-    repeats, when a card is truncated, or when two cards give one lead
-    different right-hand sides (never seen on a star presentation).
+    repeats or when a card is truncated.
+
+    Nor when the cards disagree (never seen on a star presentation): every
+    seed must lie in every completed card whose letter its lead does not
+    use.  Then the seeds' leads form an antichain, as `_TaggedCompletion`
+    needs: were one lead a factor of another, or equal to it with another
+    right-hand side, both rules would lie in a card that holds the longer
+    one, and a card's finished rules form an antichain.
     """
+    deck = _cards(rules)
     groups: dict[tuple, list] = defaultdict(list)
-    for bit, (kept, card) in enumerate(_cards(rules)):
+    for bit, (kept, card) in enumerate(deck):
         groups[card].append((bit, kept))
     seeds: dict[str, list] = {}
+    seeded = 0  # one bit per completed card
     for card, members in groups.items():
         if len(members) < 2:
             continue
@@ -640,11 +668,21 @@ def _seeds(rules: tuple[tuple, ...], bound: int, memo: dict) -> list[tuple]:
         if not complete:
             return []
         for bit, kept in members:
+            seeded |= 1 << bit
             for lead, rhs in _relabel(card_rules, kept):
                 seed = seeds.setdefault(lead, [rhs, 0])
                 if seed[0] != rhs:
                     return []
                 seed[1] |= 1 << bit
+    # The card of bit i drops the i-th letter; every letter is kept by some card.
+    letters = sorted(set().union(*(kept for kept, _ in deck)))
+    letter_bit = {x: 1 << bit for bit, x in enumerate(letters)}
+    for lead, (_, mask) in seeds.items():
+        outside = seeded & ~mask
+        for x in set(lead):
+            outside &= ~letter_bit[x]
+        if outside:
+            return []
     return [(lead, rhs, mask) for lead, (rhs, mask) in sorted(seeds.items(), key=lambda item: word_key(item[0]))]
 
 
@@ -654,7 +692,7 @@ def _complete(rules: tuple[tuple, ...], bound: int, memo: dict) -> tuple[tuple[t
     A truncated seeded run gives way to the unseeded run, so truncated
     results do not depend on the seeding.
     """
-    # Unseeded: K7 0.28-0.30 s, K8 1.24-1.45 s.  Seeding pays on the n<=6
+    # Unseeded: K7 0.29-0.32 s, K8 1.25-1.87 s (6 rounds).  Seeding pays on the n<=6
     # sweep too: `cross_validate(6)` took a median 0.99 s of CPU seeded and
     # 1.14 s unseeded, seeded faster in each of 8 alternating fresh-process
     # rounds, with identical JSON.  Seeding from every card, not only from

@@ -13,13 +13,14 @@ from oracles import (
     reference_reduce,
 )
 from tlstar.automaton import build_automaton, hilbert_prefix
-from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph
+from tlstar.graphs import TwoColoredStar, enumerate_graphs, parse_graph, prune_isolated_leaves
 from tlstar.groebner import (
     Rewriter,
     _cards,
     _LeadTable,
     _relabel,
     _Rule,
+    _seeds,
     _TaggedCompletion,
     buchberger,
     check_degree_bound,
@@ -427,6 +428,12 @@ class TestCompletionStats:
         assert s.peak_live_rules == 220
         _renders_monic(res.rules, t)
 
+    def test_fully_dashed_seven_leaves(self):
+        # The first pin on a large deck: 477 seeds from the seven K6 cards.
+        res = buchberger(build_presentation(_fully_dashed(7)))
+        assert res.complete
+        assert tuple(res.stats) == (7_751, 0, 39_019, 7_751, 0, 6_769, 975, 7, 0, 484, 6)
+
     @SCALARS
     def test_no_repeated_card(self, t):
         # No two cards of this graph relabel to the same rules, so nothing
@@ -512,16 +519,51 @@ class TestDeckSeeding:
         (((0, 0), (1, 0, (2,))), ((0, 0), (1, 0, (1,)))),
         (((3, 3), (-1, 0, (0, 1))), ((0, 0), (1, 1, (2,))), ((3, 3), (-1, 0, (1, 2))),
          ((2, 0), (1, 1, (1, 1)))),
+        # Seeded, these three kept a lead inside another: p1 p1 -> -t p2 from
+        # the card dropping p0 beside p1 p1 p1 -> p1 p1 from the card
+        # dropping p2, which lacks p1 p1;
+        (((0, 0), (-1, 1, (1,))), ((1, 1), (-1, 1, (2,))), ((1, 0, 1), (1, 0, (0, 1))),
+         ((1, 1, 0), (1, 0, (0, 1, 1))), ((2, 0, 2), (1, 0, (0, 2))), ((2, 1, 2), (1, 0, (1, 2))),
+         ((2, 2, 0), (1, 0, (0, 2, 2))), ((2, 2, 1), (1, 0, (1, 2, 2)))),
+        # p2 -> 0 from the card dropping p1 beside p2 p2 p2 -> 0 from the card
+        # dropping p3, which lacks p2 -> 0;
+        tuple(((j, i), (-1, 0, (i,))) for j in range(4) for i in range(j))
+        + (((0, 1, 1), (1, 1, (0, 0))), ((0, 2, 2), (1, 1, (0, 0))), ((0, 3, 3), (1, 1, (0, 0))),
+           ((1, 1, 1), (-1, 0, (0, 0, 1))), ((1, 2, 2), (1, 1, (1, 1))), ((1, 3, 3), (1, 1, (1, 1))),
+           ((2, 2, 2), (-1, 0, (0, 0, 2))), ((2, 3, 3), (1, 1, (2, 2))), ((3, 3, 3), (-1, 0, (0, 0, 3)))),
+        # and the empty lead from the cards dropping p0 and p1, which hold
+        # the unit ideal, beside p0 -> t from the other two, which do not.
+        (((0,), (1, 1, ())), ((1,), (1, 1, ())), ((2,), (1, 1, ())), ((3,), (1, 1, ())),
+         ((3, 3), (-1, 0, (3, 2)))),
     ])
     def test_cards_that_disagree_give_no_seeds(self, rules):
         # In the first, p0 p0 = p2 and p0 p0 = p1: the cards dropping p1 and
         # p2 relabel to equal rules, which map back to two right-hand sides
-        # for p0 p0.  Star presentations never do this; other rules may.
+        # for p0 p0.  In the others a card rule is missing from a completed
+        # card whose letter its lead does not use.  Star presentations never
+        # do this; other rules may.
         n = max(max(lead + rhs[2]) for lead, rhs in rules)
         pres = Presentation(n=n, rules=rules)
         res = self._same_as_unseeded(pres)
+        assert _seeds(_str_rules(pres), res.degree_bound, {}) == []
         _same_completion(res, reference_buchberger(pres))
         assert res.stats.cards_completed > 0 and res.stats.pairs_in_card == 0
+
+    def test_repeated_cards_always_seed_a_star(self):
+        # The cards of a star presentation always agree, so every pruned
+        # class with two equal cards is seeded.
+        repeated = 0
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                if prune_isolated_leaves(g)[1]:
+                    continue
+                pres = build_presentation(g)
+                rules = _str_rules(pres)
+                cards = [card for _, card in _cards(rules)]
+                if len(set(cards)) < len(cards):
+                    repeated += 1
+                    assert _seeds(rules, check_degree_bound(n, max_relation_degree(n)), {}), str(g)
+        assert repeated == 118
 
     @pytest.mark.parametrize("text", REFERENCE_GRAPHS + ["K(6; 1-2,1-3,1-4,1-5,1-6,2-3,2-4,2-5,2-6,3-4,3-5,3-6,4-5,4-6,5-6)"])
     def test_cards_agree_on_shared_leads(self, text):
