@@ -17,6 +17,12 @@ Q(t) when `Presentation.relations` or `GroebnerResult.basis` is first read
 and over Q by `render_rules` at a rational t, and in `Rewriter`/`reduce`.
 `run_engine` is the one pipeline from a graph to its growth.  All results
 stay exact.
+
+A result record is a `typing.NamedTuple`, built in one call and compared by
+value, unless it builds a part on first read: `TwoColoredStar.neighbours`,
+`Presentation.relations`, `GroebnerResult.basis`,
+`AvoidanceAutomaton.structure`, and `EngineRun.automaton` and `.growth` are
+cached properties, so those five records stay classes.
 """
 
 from .automaton import build_automaton, hilbert_prefix

@@ -97,11 +97,10 @@ class TwoColoredStar:
         return f"K({self.n}; {pairs})" if pairs else f"K({self.n};)"
 
 
-class Embedding:
+class Embedding(NamedTuple):
     """Injective leaf map carrying dashed pattern pairs to dashed host pairs."""
 
-    def __init__(self, mapping):
-        self.mapping: tuple[Pair, ...] = tuple(sorted(dict(mapping).items()))  # (pattern leaf, host leaf)
+    mapping: tuple[Pair, ...]  # (pattern leaf, host leaf) pairs, sorted
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
@@ -249,7 +248,7 @@ def contains_subgraph(host: TwoColoredStar, pattern: TwoColoredStar) -> Optional
         return False
 
     if backtrack(0):
-        return Embedding(assignment)
+        return Embedding(tuple(sorted(assignment.items())))
     return None
 
 

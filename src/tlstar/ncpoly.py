@@ -161,7 +161,7 @@ class NcPolynomial:
             cs = str(c)
             negative = cs.startswith("-")
             if negative:
-                cs = cs[1:]
+                cs = str(-c)  # negate the value: cutting "-" off "-t + 1" would flip the "+ 1"
             if " " in cs:
                 cs = f"({cs})"
             body = format_word(w) if cs == "1" else f"{cs}*{format_word(w)}"

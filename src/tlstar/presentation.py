@@ -31,9 +31,9 @@ Rule = tuple[Word, Optional[tuple[int, int, Word]]]
 def render_rules(rules: Iterable[Rule], t) -> tuple[NcPolynomial, ...]:
     """Monic polynomials lead - sign * t**exp * word (or lead) in t's scalar domain.
 
-    t is ``RationalFunction.t()`` for Q(t), or a `Fraction` for Q at that value.
+    t is ``RationalFunction.t()`` for Q(t), or a `Fraction` or `int` for Q at that value.
     """
-    one = t / t  # unit of the active scalar domain; t is never zero here
+    one = t ** 0  # unit of t's scalar domain, exact (t / t is a float for an int t)
     out = []
     for lead, rhs in rules:
         if rhs is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from functools import cached_property
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automaton import AvoidanceAutomaton, build_automaton, check_max_degree, hilbert_prefix
 from .classifier import TheoremVerdict, check_nu_conditions, classify_by_theorem
@@ -79,31 +79,22 @@ def _disagreements(verdict: TheoremVerdict, growth: GrowthClass) -> list[str]:
     return []
 
 
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """The structural verdict of one graph, and the engine's results when it ran."""
 
-    def __init__(
-        self,
-        graph: TwoColoredStar,
-        pruned: TwoColoredStar,
-        removed_leaves: tuple[int, ...],
-        method: str,
-        theorem: TheoremVerdict,
-        nu_violations: list[str],
-    ):
-        self.graph = graph
-        self.pruned = pruned
-        self.removed_leaves = removed_leaves
-        self.method = method
-        self.theorem = theorem
-        self.nu_violations = nu_violations
-        self.groebner: Optional[GroebnerResult] = None
-        self.automaton: Optional[AvoidanceAutomaton] = None
-        self.hilbert: Optional[list[int]] = None
-        self.growth: Optional[GrowthClass] = None
-        self.free_pair: Optional[FreePairCertificate] = None
-        self.discrepancies: list[str] = []
-        self.timings: dict = {}
+    graph: TwoColoredStar
+    pruned: TwoColoredStar
+    removed_leaves: tuple[int, ...]
+    method: str
+    theorem: TheoremVerdict
+    nu_violations: list[str]
+    groebner: Optional[GroebnerResult]
+    automaton: Optional[AvoidanceAutomaton]
+    hilbert: Optional[list[int]]
+    growth: Optional[GrowthClass]
+    free_pair: Optional[FreePairCertificate]
+    discrepancies: list[str]
+    timings: dict
 
     @property
     def discrepancy(self) -> bool:
@@ -149,55 +140,43 @@ def analyze(
     pruned, removed = prune_isolated_leaves(g)
     verdict = classify_by_theorem(g)
     nu_violations = check_nu_conditions(g, verdict)
-    report = AnalysisReport(
-        graph=g,
-        pruned=pruned,
-        removed_leaves=removed,
-        method=method,
-        theorem=verdict,
-        nu_violations=nu_violations,
-    )
-    report.discrepancies.extend(nu_violations)
-
+    discrepancies, timings = list(nu_violations), {}
+    result = aut = hilbert = growth = free_pair = None
     if method == "both":
         t0 = time.perf_counter()
         run = run_engine(g, degree_bound)
-        result = report.groebner = run.groebner
-        report.timings["groebner_s"] = time.perf_counter() - t0
+        result = run.groebner
+        timings["groebner_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        aut = report.automaton = run.automaton
-        report.hilbert = hilbert_prefix(aut, max_degree)
-        growth = report.growth = run.growth
+        aut = run.automaton
+        hilbert = hilbert_prefix(aut, max_degree)
+        growth = run.growth
         if growth.coarse == EXPONENTIAL and result.complete:
-            report.free_pair = search_free_pair(aut)
-        report.timings["automaton_s"] = time.perf_counter() - t0
+            free_pair = search_free_pair(aut)
+        timings["automaton_s"] = time.perf_counter() - t0
 
         if not result.complete:
-            report.discrepancies.append(
+            discrepancies.append(
                 f"completion truncated at degree {result.degree_bound}; engine growth is an upper bound only"
             )
-        report.discrepancies.extend(_disagreements(verdict, growth))
-    report.timings["total_s"] = time.perf_counter() - t_total
-    return report
+        discrepancies += _disagreements(verdict, growth)
+    timings["total_s"] = time.perf_counter() - t_total
+    return AnalysisReport(
+        graph=g, pruned=pruned, removed_leaves=removed, method=method, theorem=verdict,
+        nu_violations=nu_violations, groebner=result, automaton=aut, hilbert=hilbert, growth=growth,
+        free_pair=free_pair, discrepancies=discrepancies, timings=timings,
+    )
 
 
-class SweepRow:
+class SweepRow(NamedTuple):
     """One class of the sweep: its structural verdict and its pruned class's engine growth."""
 
-    def __init__(
-        self,
-        graph: TwoColoredStar,
-        pruned: TwoColoredStar,
-        theorem: TheoremVerdict,
-        engine_growth: GrowthClass,
-        nu_violations: list[str],
-    ):
-        self.graph = graph
-        self.pruned = pruned
-        self.theorem = theorem
-        self.engine_growth = engine_growth
-        self.nu_violations = nu_violations
+    graph: TwoColoredStar
+    pruned: TwoColoredStar
+    theorem: TheoremVerdict
+    engine_growth: GrowthClass
+    nu_violations: list[str]
 
     @property
     def complete(self) -> bool:
@@ -227,13 +206,12 @@ class SweepRow:
         }
 
 
-class SweepResult:
+class SweepResult(NamedTuple):
     """Every row of a sweep up to max_leaves, and how many engine runs served them."""
 
-    def __init__(self, max_leaves: int, rows: list[SweepRow], engine_runs: int):
-        self.max_leaves = max_leaves
-        self.rows = rows
-        self.engine_runs = engine_runs
+    max_leaves: int
+    rows: list[SweepRow]
+    engine_runs: int
 
     @property
     def all_agree(self) -> bool:
@@ -292,13 +270,5 @@ def cross_validate(max_leaves: int) -> SweepResult:
             if growth is None:
                 growth = engine_cache[pruned] = run_engine(pruned).growth
             verdict = classify_by_theorem(g)
-            rows.append(
-                SweepRow(
-                    graph=g,
-                    pruned=pruned,
-                    theorem=verdict,
-                    engine_growth=growth,
-                    nu_violations=check_nu_conditions(g, verdict),
-                )
-            )
-    return SweepResult(max_leaves=max_leaves, rows=rows, engine_runs=len(engine_cache))
+            rows.append(SweepRow(g, pruned, verdict, growth, check_nu_conditions(g, verdict)))
+    return SweepResult(max_leaves, rows, len(engine_cache))

@@ -264,6 +264,7 @@ class TestSubgraph:
         g = parse_graph("K(5; 1-2,2-3,4-5)")
         emb = contains_subgraph(g, g)
         assert emb is not None and embedding_is_valid(emb, g, g)
+        assert emb == contains_subgraph(g, g)  # embeddings compare by value
 
     def test_pattern_larger_than_host(self):
         assert contains_subgraph(parse_graph("K(3;)"), parse_graph("K(4;)")) is None

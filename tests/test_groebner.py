@@ -18,7 +18,7 @@ from tlstar.groebner import (
     Rewriter,
     _cards,
     _LeadTable,
-    _relabel,
+    _map_words,
     _Rule,
     _seeds,
     _TaggedCompletion,
@@ -576,7 +576,7 @@ class TestDeckSeeding:
         for kept, card in _cards(_str_rules(pres)):
             rules, complete, _ = _TaggedCompletion(card, bound).run()
             assert complete
-            for lead, rhs in _relabel(rules, kept):
+            for lead, rhs in _map_words(rules, lambda w: w.translate(kept)):
                 assert union.setdefault(lead, rhs) == rhs
         assert is_antichain({tuple(map(ord, lead)) for lead in union})
 

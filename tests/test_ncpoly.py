@@ -78,6 +78,10 @@ class TestFormatting:
         assert q.format() == "p2 p1 - p1 p2"
         assert NcPolynomial().format() == "0"
 
+    def test_negative_sum_coefficient_is_negated_whole(self):
+        assert NcPolynomial({(1,): 1 - T}).format() == "-(t - 1)*p1"
+        assert NcPolynomial({(1, 2): T / T, (1,): 1 - T}).format() == "p1 p2 - (t - 1)*p1"
+
 
 class TestNcPolynomial:
     def test_zero_coefficients_dropped(self):

@@ -111,6 +111,13 @@ class TestParameterModes:
             "p0 p1 p0 - 1/2*p0",
         ]
 
+    def test_integer_t_stays_exact(self):
+        rules = build_presentation(parse_graph("K(1;)")).rules
+        one = render_rules(rules, 1)
+        assert [p.format() for p in one] == ["p0 p0 - p0", "p1 p1 - p1", "p1 p0 p1 - p1", "p0 p1 p0 - p0"]
+        assert {type(c) for p in one for c in p.terms.values()} == {int}
+        assert [p.format() for p in render_rules(rules, 0)][2:] == ["p1 p0 p1", "p0 p1 p0"]
+
 
 @given(stars_with_permutation(max_n=4))
 @settings(max_examples=40, deadline=None)

@@ -150,6 +150,9 @@ class TestCrossValidate:
         assert len(linear) == 6
         assert all(row.engine_growth.gk_degree == 1 for row in linear)
 
+    def test_sweeps_compare_by_value(self):
+        assert cross_validate(4) == cross_validate(4)
+
     def test_rows_cover_enumeration_and_dedup_engine_runs(self):
         sweep = cross_validate(4)
         assert len(sweep.rows) == 1 + 2 + 4 + 11
