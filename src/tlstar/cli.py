@@ -119,7 +119,9 @@ def _check_hilbert_degree(max_degree: int) -> None:
 def _cmd_classify(args) -> tuple[int, dict]:
     g = parse_graph(args.graph)
     _check_hilbert_degree(args.max_degree)
-    report = analyze(g, method=args.method, degree_bound=args.degree_bound, max_degree=args.max_degree)
+    timings = {}
+    report = analyze(g, method=args.method, degree_bound=args.degree_bound, max_degree=args.max_degree,
+                     timings=timings)
     print(f"graph:    {g}")
     print(f"pruned:   {report.pruned}  (removed leaves: {list(report.removed_leaves) or 'none'})")
     print(f"nu:       {report.theorem.nu}")
@@ -150,7 +152,10 @@ def _cmd_classify(args) -> tuple[int, dict]:
             print(f"  - {d}")
     else:
         print("no discrepancies")
-    return DISCREPANCY if report.discrepancy else OK, report.to_json_dict(include_timings=args.timings)
+    payload = report.to_json_dict()
+    if args.timings:
+        payload["timings"] = timings
+    return DISCREPANCY if report.discrepancy else OK, payload
 
 
 def _cmd_hilbert(args) -> tuple[int, dict]:

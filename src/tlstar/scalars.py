@@ -3,195 +3,139 @@
 The deformation parameter t enters every Temperley-Lieb-type relation, so
 coefficients of noncommutative polynomials live either in Q(t) (symbolic
 mode) or in Q itself (t specialised to a rational number, in which case
-plain :class:`fractions.Fraction` values are used).  Rational functions are
-stored in lowest terms with a monic denominator, which makes equality and
-zero tests structural and exact.
+plain :class:`fractions.Fraction` values are used).  Completion itself
+runs on (sign, t-exponent) tags, so Q(t) arithmetic happens only where
+rules are rendered and where `reduce` carries a coefficient.
+
+A `RationalFunction` holds its numerator and denominator as tuples of
+`Fraction` coefficients, lowest degree first with no trailing zeros (so
+zero is the empty tuple).  It is kept in lowest terms with a monic
+denominator, which makes equality and zero tests structural and exact.
+The polynomial arithmetic is a handful of private functions on those
+tuples; each skips work where it can (equal denominators add without
+cross-multiplying, the gcd runs only when both parts have positive
+degree, a monic denominator is not rescaled, and zero coefficients are
+not multiplied out).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Polynomial", "RationalFunction", "T"]
+__all__ = ["RationalFunction", "T"]
+
+_F0 = Fraction(0)
+_ONE = (Fraction(1),)
 
 
-class Polynomial:
-    """Dense univariate polynomial in t over Q.
+def _trim(cs) -> tuple:
+    """The coefficients cs as a tuple without trailing zeros."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return tuple(cs[:n])
 
-    Coefficients are stored lowest degree first with no trailing zeros, so
-    the zero polynomial has an empty coefficient tuple.
-    """
 
-    __slots__ = ("coeffs",)
+def _add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
 
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, value) -> "Polynomial":
-        return cls((Fraction(value),))
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        return cls((Fraction(0), Fraction(1)))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1]
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + -other
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
+def _mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    # Leading coefficients multiply to a nonzero one, so nothing needs trimming.
+    out = [_F0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return Polynomial(out)
-
-    def scale(self, q: Fraction) -> "Polynomial":
-        return Polynomial(tuple(c * q for c in self.coeffs))
-
-    def __divmod__(self, other: "Polynomial"):
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lc = other.coeffs[-1]
-        if len(rem) - 1 < dn:
-            return _P_ZERO, Polynomial(rem)
-        quot = [Fraction(0)] * (len(rem) - dn)
-        for k in range(len(rem) - 1, dn - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            q = c / lc
-            quot[k - dn] = q
-            for i, oc in enumerate(other.coeffs):
-                rem[k - dn + i] -= q * oc
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Polynomial":
-        lc = self.coeffs[-1]
-        if lc == 1:
-            return self
-        return self.scale(1 / lc)
-
-    @staticmethod
-    def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        while b:
-            a, b = b, a % b
-        return a.monic()
-
-    def evaluate(self, value: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_term() == other
-        return NotImplemented
-
-    def __hash__(self):
-        # A constant equals its value, so it hashes as its value.
-        return hash(self.constant_term()) if self.is_constant() else hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                tk = "t" if k == 1 else f"t^{k}"
-                body = tk if abs(c) == 1 else f"{abs(c)}*{tk}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+    return tuple(out)
 
 
-_P_ZERO = Polynomial()
-_P_ONE = Polynomial((Fraction(1),))
+def _divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder of a by a nonzero b."""
+    rem = list(a)
+    db, lc = len(b) - 1, b[-1]
+    quot = [_F0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem[k]
+        if c:
+            q = quot[k - db] = c / lc
+            for i, bc in enumerate(b):
+                rem[k - db + i] -= q * bc
+    return _trim(quot), _trim(rem[:db])
+
+
+def _str(cs: tuple) -> str:
+    parts = []
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
+        if not c:
+            continue
+        if k == 0:
+            body = str(abs(c))
+        else:
+            tk = "t" if k == 1 else f"t^{k}"
+            body = tk if abs(c) == 1 else f"{abs(c)}*{tk}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
+def _coeffs(x) -> tuple:
+    """Coefficients of an int, a `Fraction`, or a list or tuple of them."""
+    cs = x if isinstance(x, (list, tuple)) else (x,)
+    if not all(isinstance(c, (int, Fraction)) for c in cs):
+        raise TypeError(f"coefficients must be int or Fraction, got {x!r}")
+    return _trim([Fraction(c) for c in cs])
+
+
+def _lowest_terms(num: tuple, den: tuple) -> tuple[tuple, tuple]:
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return (), _ONE
+    if len(num) > 1 and len(den) > 1:
+        g, r = num, den
+        while r:
+            g, r = r, _divmod(g, r)[1]
+        if len(g) > 1:
+            num, den = _divmod(num, g)[0], _divmod(den, g)[0]
+    lc = den[-1]
+    if lc != 1:
+        num, den = tuple(c / lc for c in num), tuple(c / lc for c in den)
+    return num, den
+
+
+def _new(num: tuple, den: tuple) -> "RationalFunction":
+    """num/den from trimmed `Fraction` tuples, which are taken as they are."""
+    r = object.__new__(RationalFunction)
+    r.num, r.den = _lowest_terms(num, den)
+    return r
 
 
 class RationalFunction:
-    """Element of Q(t), kept in lowest terms with monic denominator."""
+    """Element of Q(t), kept in lowest terms with monic denominator.
+
+    ``RationalFunction(num, den)`` takes each part as an int, a `Fraction`,
+    or a list or tuple of coefficients, lowest degree first.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den: Polynomial = _P_ONE):
-        if not isinstance(num, Polynomial):
-            num = Polynomial.constant(num) if num else _P_ZERO
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self.num, self.den = _P_ZERO, _P_ONE
-            return
-        # Reduce to lowest terms; a genuine gcd is needed only when both
-        # parts are non-constant.
-        if not num.is_constant() and not den.is_constant():
-            g = Polynomial.gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        lc = den.leading_coefficient()
-        if lc != 1:
-            inv = 1 / lc
-            num, den = num.scale(inv), den.scale(inv)
-        self.num, self.den = num, den
+    def __init__(self, num=0, den=1):
+        self.num, self.den = _lowest_terms(_coeffs(num), _coeffs(den))
 
     @classmethod
     def t(cls) -> "RationalFunction":
-        return cls(Polynomial.variable())
+        return cls((0, 1))
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -200,7 +144,7 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(other)
+            return _new((Fraction(other),) if other else (), _ONE)
         return None
 
     def __add__(self, other):
@@ -208,28 +152,22 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return RationalFunction(self.num + o.num, self.den)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+            return _new(_add(self.num, o.num), self.den)
+        return _new(_add(_mul(self.num, o.den), _mul(o.num, self.den)), _mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return _new(_mul(self.num, o.num), _mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -237,54 +175,53 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den, self.den * o.num)  # __init__ refuses a zero o
+        return _new(_mul(self.num, o.den), _mul(self.den, o.num))  # refuses a zero o
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return _new(self.den, self.num) * other  # refuses a zero self
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return _new(tuple(-c for c in self.num), self.den)
 
     def __pow__(self, k: int):
         if k < 0:
-            return RationalFunction(1) / self ** (-k)
-        out = RationalFunction(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+            return _new(self.den, self.num) ** -k  # refuses a zero self
+        out = _new(_ONE, _ONE)
+        for _ in range(k):
+            out *= self
         return out
 
     def evaluate(self, value: Fraction) -> Fraction:
-        den = self.den.evaluate(value)
+        num, den = (sum(c * value ** k for k, c in enumerate(cs)) for cs in (self.num, self.den))
         if not den:
             raise ZeroDivisionError(f"denominator vanishes at t={value}")
-        return self.num.evaluate(value) / den
+        return num / den
+
+    def _constant(self):
+        """The value of a constant, else None."""
+        if len(self.num) <= 1 and len(self.den) == 1:  # a monic constant denominator is 1
+            return self.num[0] if self.num else _F0
+        return None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self.den == _P_ONE and self.num == other
+        if isinstance(other, (int, Fraction)):
+            return self._constant() == other
         return NotImplemented
 
     def __hash__(self):
-        # With denominator 1 it equals its numerator, so it hashes as its numerator.
-        return hash(self.num) if self.den == _P_ONE else hash((self.num.coeffs, self.den.coeffs))
+        # A constant equals its value, so it hashes as its value.
+        c = self._constant()
+        return hash((self.num, self.den)) if c is None else hash(c)
 
     def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+        return f"RationalFunction({list(self.num)!r}, {list(self.den)!r})"
 
     def __str__(self) -> str:
-        if self.den == _P_ONE:
-            return str(self.num)
-        num = str(self.num)
-        den = str(self.den)
+        num, den = _str(self.num), _str(self.den)
+        if den == "1":
+            return num
         if " " in num:
             num = f"({num})"
         if " " in den:
@@ -293,4 +230,3 @@ class RationalFunction:
 
 
 T = RationalFunction.t()
-

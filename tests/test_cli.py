@@ -151,6 +151,16 @@ class TestClassify:
         assert payload["theorem"]["branch"] == "(ii)"
         assert payload["discrepancy"] is False
 
+    def test_timings_only_behind_the_flag(self, tmp_path):
+        plain, timed = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli("classify", "K(4; 1-2,3-4)", "--json", str(plain)) == 0
+        assert run_cli("classify", "K(4; 1-2,3-4)", "--timings", "--json", str(timed)) == 0
+        payload = json.loads(timed.read_text())
+        timings = payload.pop("timings")
+        assert set(timings) == {"groebner_s", "automaton_s", "total_s"}
+        assert all(s >= 0 for s in timings.values())
+        assert payload == json.loads(plain.read_text())
+
 
 class TestHilbert:
     def test_reference_table(self, capsys):

@@ -26,9 +26,9 @@ from tlstar.groebner import (
     check_degree_bound,
     reduce,
 )
-from tlstar.ncpoly import NcPolynomial
+from tlstar.ncpoly import NcPolynomial, word_key
 from tlstar.presentation import Presentation, build_presentation, max_relation_degree, render_rules
-from tlstar.scalars import Polynomial, RationalFunction, T
+from tlstar.scalars import RationalFunction, T
 
 ONE = T / T
 
@@ -212,12 +212,8 @@ class TestTauIndependence:
 
 def random_scalar(rng: random.Random) -> RationalFunction:
     coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-    num = Polynomial(coeffs)
-    if not num:
-        num = Polynomial((Fraction(1),))
-    if rng.random() < 0.25:
-        return RationalFunction(num, Polynomial((Fraction(1), Fraction(1))))  # .../(t+1)
-    return RationalFunction(num)
+    num = coeffs if any(coeffs) else [1]
+    return RationalFunction(num, [1, 1] if rng.random() < 0.25 else 1)  # .../(t+1) a quarter of the time
 
 
 def random_polynomial(rng: random.Random, n: int, max_terms=4, max_len=5) -> NcPolynomial:
@@ -581,7 +577,39 @@ class TestDeckSeeding:
         assert is_antichain({tuple(map(ord, lead)) for lead in union})
 
 
-LEADS = st.sets(st.text(alphabet="abc", max_size=4), max_size=8)
+@st.composite
+def rule_sets(draw):
+    """A hand-built presentation on 3 or 4 letters with 2-7 rules, and a degree bound of 5-8.
+
+    Leads have 1-3 letters; about 30% of the rules are zero rules, the rest
+    rewrite to +-t**(0..2) times a word below the lead in deg-lex order.
+    """
+    letters = draw(st.integers(3, 4))
+    rules = []
+    for _ in range(draw(st.integers(2, 7))):
+        lead = draw(st.lists(st.integers(0, letters - 1), min_size=1, max_size=3).map(tuple))
+        below = [w for k in range(len(lead) + 1) for w in itertools.product(range(letters), repeat=k)
+                 if word_key(w) < word_key(lead)]
+        if draw(st.integers(0, 9)) < 3:
+            rules.append((lead, None))
+        else:
+            rules.append((lead, (draw(st.sampled_from((1, -1))), draw(st.integers(0, 2)), draw(st.sampled_from(below)))))
+    return Presentation(n=letters - 1, rules=tuple(rules)), draw(st.integers(5, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_sets())
+def test_random_rule_sets_complete_as_the_oracles_do(case):
+    # Completion against the scalar oracle over Q and over Q(t), where the
+    # oracle's arithmetic runs through `RationalFunction`, and the seeded
+    # run against the unseeded one.
+    pres, bound = case
+    res = TestDeckSeeding()._same_as_unseeded(pres, bound)
+    for t in (Fraction(1, 2), T):
+        _same_completion(res, reference_buchberger(pres, bound, t), t)
+
+
+LEADS =st.sets(st.text(alphabet="abc", max_size=4), max_size=8)
 
 
 class TestLeadTable:

@@ -116,7 +116,15 @@ class TestAnalyze:
         assert again["theorem"]["branch"] == "(ii)"
         assert again["discrepancy"] is False
         assert "timings" not in again
-        assert "timings" in r.to_json_dict(include_timings=True)
+
+    def test_reports_compare_by_value(self):
+        g = parse_graph("K(4; 1-2,3-4)")
+        timings = {}
+        assert analyze(g, timings=timings) == analyze(g)
+        assert set(timings) == {"groebner_s", "automaton_s", "total_s"}
+        timings = {}
+        assert analyze(g, method="theorem", timings=timings) == analyze(g, method="theorem")
+        assert set(timings) == {"total_s"}
 
     def test_linear_verdict_against_another_gk_degree(self):
         verdict = classify_by_theorem(parse_graph("K(4; 1-2,3-4)"))
